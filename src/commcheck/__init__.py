@@ -46,6 +46,7 @@ from .sim import (
     trace_to_term,
 )
 from .terms import (
+    Comm,
     DataKind,
     GlobalType,
     LocalType,
@@ -82,6 +83,7 @@ __all__ = [
     "BufferFacts",
     "CheckDiagnostic",
     "CheckReport",
+    "Comm",
     "DataKind",
     "Deadlock",
     "DecisionTape",

@@ -37,18 +37,12 @@ from .program import (
 )
 from .projection import project
 from .sim import DecisionTape
-from .terms import Choice, DataKind, End, Loop, Protocol
+from .terms import Choice, Comm, DataKind, End, Loop, Protocol
 from .typestate import (
     Action,
-    AllreduceAction,
-    BcastAction,
     BufferFacts,
     FinalizeAction,
-    GatherAction,
-    ReceiveAction,
     ResidualNotEnd,
-    ScatterAction,
-    SendAction,
     StepError,
     check_finalized,
     describe_node,
@@ -191,24 +185,24 @@ def _eval(e, state: _RankState, pos: Pos | None) -> int:
         raise AssertionError  # unreachable
 
 
-def _comm_action(stmt, state: _RankState) -> tuple[Action, BufferFacts]:
-    buf = state.buffers.get(stmt.buf)
-    if buf is None:
-        state.fail("unknown-buffer", f"no buffer named '{stmt.buf}'", stmt.pos)
-    count = _eval(stmt.length, state, stmt.pos)
+_STMT_KINDS = {
+    SendStmt: "send",
+    RecvStmt: "receive",
+    ScatterStmt: "scatter",
+    GatherStmt: "gather",
+    BcastStmt: "bcast",
+}
+
+
+def _stmt_comm(stmt, elem: DataKind, value) -> Comm:
+    """The communication `stmt` performs on a buffer of `elem` elements,
+    with `value` evaluating its length, then its peer or root."""
+    count = value(stmt.length)
     match stmt:
-        case SendStmt(peer, _, _):
-            return SendAction(_eval(peer, state, stmt.pos), buf.elem, count), buf
-        case RecvStmt(peer, _, _):
-            return ReceiveAction(_eval(peer, state, stmt.pos), buf.elem, count), buf
-        case ScatterStmt(root, _, _):
-            return ScatterAction(_eval(root, state, stmt.pos), buf.elem, count), buf
-        case GatherStmt(root, _, _):
-            return GatherAction(_eval(root, state, stmt.pos), buf.elem, count), buf
-        case BcastStmt(root, _, _):
-            return BcastAction(_eval(root, state, stmt.pos), buf.elem, count), buf
         case AllreduceStmt(_, _, op):
-            return AllreduceAction(buf.elem, count, op), buf
+            return Comm("allreduce", None, elem, count, op)
+        case SendStmt(who) | RecvStmt(who) | ScatterStmt(who) | GatherStmt(who) | BcastStmt(who):
+            return Comm(_STMT_KINDS[type(stmt)], value(who), elem, count)
     raise TypeError(f"not a communication statement: {stmt!r}")
 
 
@@ -228,7 +222,10 @@ def _walk_stmt(stmt: Stmt, t, state: _RankState):
             state.buffers[name] = BufferFacts(elem, size)
             return t
         case SendStmt() | RecvStmt() | ScatterStmt() | GatherStmt() | BcastStmt() | AllreduceStmt():
-            action, buf = _comm_action(stmt, state)
+            buf = state.buffers.get(stmt.buf)
+            if buf is None:
+                state.fail("unknown-buffer", f"no buffer named '{stmt.buf}'", stmt.pos)
+            action = _stmt_comm(stmt, buf.elem, lambda e: _eval(e, state, stmt.pos))
             try:
                 return step(t, action, buf)
             except StepError as err:
@@ -318,28 +315,8 @@ def _erase(stmts, scope: Env, buffers, tape: DecisionTape, out: list[Action]) ->
                 scope[name] = eval_expr(value, scope)
             case BufferDecl(name, elem, _):
                 buffers[name] = elem
-            case SendStmt(peer, buf, length):
-                out.append(
-                    SendAction(eval_expr(peer, scope), buffers[buf], eval_expr(length, scope))
-                )
-            case RecvStmt(peer, buf, length):
-                out.append(
-                    ReceiveAction(eval_expr(peer, scope), buffers[buf], eval_expr(length, scope))
-                )
-            case ScatterStmt(root, buf, length):
-                out.append(
-                    ScatterAction(eval_expr(root, scope), buffers[buf], eval_expr(length, scope))
-                )
-            case GatherStmt(root, buf, length):
-                out.append(
-                    GatherAction(eval_expr(root, scope), buffers[buf], eval_expr(length, scope))
-                )
-            case BcastStmt(root, buf, length):
-                out.append(
-                    BcastAction(eval_expr(root, scope), buffers[buf], eval_expr(length, scope))
-                )
-            case AllreduceStmt(buf, length, op):
-                out.append(AllreduceAction(buffers[buf], eval_expr(length, scope), op))
+            case SendStmt() | RecvStmt() | ScatterStmt() | GatherStmt() | BcastStmt() | AllreduceStmt():
+                out.append(_stmt_comm(stmt, buffers[stmt.buf], lambda e: eval_expr(e, scope)))
             case RankIf(guard, then_body, else_body):
                 _erase(then_body if eval_pred(guard, scope) else else_body, scope, buffers, tape, out)
             case CollLoop(body):

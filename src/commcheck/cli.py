@@ -279,6 +279,17 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     )
 
 
+def _loop_bound(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        # the message argparse gives for `type=int`
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"N must be >= 0, got {value}")
+    return value
+
+
 def build_arg_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="commcheck",
@@ -312,10 +323,11 @@ def build_arg_parser() -> argparse.ArgumentParser:
     )
     p_sim.add_argument(
         "--max-loop-iters",
-        type=int,
+        type=_loop_bound,
         default=2,
         metavar="N",
-        help="enter each loop at most N consecutive times (default 2)",
+        help="enter each loop at most N >= 0 consecutive times (default 2);"
+        " with 0 no loop is entered, so deadlocks inside loop bodies are not searched",
     )
     p_sim.add_argument(
         "--state-limit",

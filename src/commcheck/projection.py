@@ -10,6 +10,7 @@ come out ground: every peer, root, and length is a literal.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from .exprs import Env, Lit, eval_expr
 from .terms import (
@@ -60,27 +61,29 @@ def project_all(protocol: Protocol, inst: Env) -> ProjectionResult:
 
 
 def _project(t: TypeTerm, env: Env, rank: int) -> TypeTerm:
-    match t:
-        case End():
-            return t
-        case Prefix(Message(src, dst, dtype, length) as msg, cont):
-            rest = _project(cont, env, rank)
-            source = eval_expr(src, env)
-            destination = eval_expr(dst, env)
-            count = Lit(eval_expr(length, env))
-            if source == rank:
-                return Prefix(Send(Lit(destination), dtype, count, pos=msg.pos), rest)
-            if destination == rank:
-                return Prefix(Receive(Lit(source), dtype, count, pos=msg.pos), rest)
-            return rest
-        case Prefix(atom, cont):
-            return Prefix(ground_atom(atom, env), _project(cont, env, rank))
-        case Loop(body, cont):
-            return Loop(_project(body, env, rank), _project(cont, env, rank))
-        case Choice(tb, fb, cont):
-            return Choice(
-                _project(tb, env, rank),
-                _project(fb, env, rank),
-                _project(cont, env, rank),
-            )
-    raise TypeError(f"not a type term: {t!r}")
+    # Walk the continuation spine iteratively, keeping one constructor per
+    # kept node, then rebuild from the end: every node constructor takes
+    # its continuation last. Only loop bodies and choice branches recurse.
+    kept = []
+    while not isinstance(t, End):
+        match t:
+            case Prefix(Message(src, dst, dtype, length) as msg, cont):
+                source = eval_expr(src, env)
+                destination = eval_expr(dst, env)
+                count = Lit(eval_expr(length, env))
+                if source == rank:
+                    kept.append(partial(Prefix, Send(Lit(destination), dtype, count, pos=msg.pos)))
+                elif destination == rank:
+                    kept.append(partial(Prefix, Receive(Lit(source), dtype, count, pos=msg.pos)))
+            case Prefix(atom, cont):
+                kept.append(partial(Prefix, ground_atom(atom, env)))
+            case Loop(body, cont):
+                kept.append(partial(Loop, _project(body, env, rank)))
+            case Choice(tb, fb, cont):
+                kept.append(partial(Choice, _project(tb, env, rank), _project(fb, env, rank)))
+            case _:
+                raise TypeError(f"not a type term: {t!r}")
+        t = cont
+    for node in reversed(kept):
+        t = node(t)
+    return t

@@ -1,11 +1,13 @@
 """Synchronous ensemble execution over ground local types.
 
-Semantics are unbuffered: a send and its matching receive fire as one
-step, enabled only when both ranks have the pair at their heads with
-equal data kind and count. A collective atom fires when every rank has
-an equal copy at its head. Loop and choice nodes are collective
-decisions: they fire only when every rank sits at the decision, and all
-ranks take the same boolean. Entering a loop grafts the body in front
+Each rank's head is read as a `Comm`, the one ground record of a
+communication. Semantics are unbuffered: a send and its matching
+receive fire as one step, enabled only when both ranks have the pair at
+their heads with equal data kind and count. A collective fires when
+every rank has an equal `Comm` at its head, and that `Comm` is the
+witness step. Loop and choice nodes are collective decisions: they
+fire only when every rank sits at the decision, and all ranks take the
+same boolean. Entering a loop grafts the body in front
 of the loop node again; declining moves every rank to the continuation.
 
 The explorer walks every interleaving depth-first with memoization on
@@ -20,33 +22,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence, Union
 
-from .exprs import ExprError, eval_expr
 from .terms import (
-    Allreduce,
-    Bcast,
     Choice,
+    Comm,
     DataKind,
     End,
-    Gather,
     LocalType,
     Loop,
     Prefix,
-    Receive,
     ReduceOp,
-    Scatter,
-    Send,
+    atom_of,
+    comm_of,
     concat,
 )
-from .typestate import (
-    Action,
-    AllreduceAction,
-    BcastAction,
-    FinalizeAction,
-    GatherAction,
-    ReceiveAction,
-    ScatterAction,
-    SendAction,
-)
+from .typestate import Action, FinalizeAction
 
 DEFAULT_STATE_LIMIT = 1_000_000
 
@@ -104,21 +93,13 @@ class P2PStep:
 
 
 @dataclass(frozen=True)
-class CollectiveStep:
-    kind: str  # scatter | gather | bcast | allreduce
-    root: int | None
-    dtype: DataKind
-    count: int
-    op: ReduceOp | None
-
-
-@dataclass(frozen=True)
 class DecisionStep:
     kind: str  # loop | choice
     enter: bool  # loop: run body again; choice: first branch
 
 
-Step = Union[P2PStep, CollectiveStep, DecisionStep]
+# A collective step is the `Comm` at every rank's head.
+Step = Union[P2PStep, Comm, DecisionStep]
 
 
 @dataclass(frozen=True)
@@ -160,31 +141,6 @@ SimVerdict = Union[AllDone, Deadlock, StateSpaceExceeded]
 # ---------------------------------------------------------------------------
 
 
-def _value(e) -> int:
-    try:
-        return eval_expr(e, {})
-    except ExprError:
-        raise ValueError("local types must be ground before simulation") from None
-
-
-def _atom_sig(a):
-    # (kind, peer-or-root, dtype, count, op)
-    match a:
-        case Send(peer, dtype, length):
-            return ("send", _value(peer), dtype, _value(length), None)
-        case Receive(peer, dtype, length):
-            return ("receive", _value(peer), dtype, _value(length), None)
-        case Scatter(root, dtype, length):
-            return ("scatter", _value(root), dtype, _value(length), None)
-        case Gather(root, dtype, length):
-            return ("gather", _value(root), dtype, _value(length), None)
-        case Bcast(root, dtype, length):
-            return ("bcast", _value(root), dtype, _value(length), None)
-        case Allreduce(dtype, length, op):
-            return ("allreduce", None, dtype, _value(length), op)
-    raise TypeError(f"not a local atom: {a!r}")
-
-
 def _describe_head(t: LocalType) -> str:
     match t:
         case End():
@@ -194,14 +150,14 @@ def _describe_head(t: LocalType) -> str:
         case Choice():
             return "awaiting a collective choice decision"
         case Prefix(atom, _):
-            sig = _atom_sig(atom)
-            if sig[0] == "send":
-                return f"blocked sending to rank {sig[1]} ({sig[2].value}, len {sig[3]})"
-            if sig[0] == "receive":
-                return f"blocked receiving from rank {sig[1]} ({sig[2].value}, len {sig[3]})"
-            if sig[0] == "allreduce":
-                return f"blocked in allreduce ({sig[2].value}, len {sig[3]}, {sig[4].value})"
-            return f"blocked in {sig[0]} (root {sig[1]}, {sig[2].value}, len {sig[3]})"
+            c = comm_of(atom)
+            if c.kind == "send":
+                return f"blocked sending to rank {c.peer} ({c.dtype.value}, len {c.count})"
+            if c.kind == "receive":
+                return f"blocked receiving from rank {c.peer} ({c.dtype.value}, len {c.count})"
+            if c.kind == "allreduce":
+                return f"blocked in allreduce ({c.dtype.value}, len {c.count}, {c.op.value})"
+            return f"blocked in {c.kind} (root {c.peer}, {c.dtype.value}, len {c.count})"
     raise TypeError(f"not a type term: {t!r}")
 
 
@@ -262,60 +218,50 @@ def _candidates(
     collective steps are policy-independent.
     """
     n = len(residues)
-    heads = []
+    heads: list[Comm | str] = []  # a rank's head Comm, or done | loop | choice
     for t in residues:
         match t:
             case End():
-                heads.append(("done", None))
+                heads.append("done")
             case Prefix(atom, _):
-                heads.append(("atom", _atom_sig(atom)))
+                heads.append(comm_of(atom))
             case Loop():
-                heads.append(("loop", None))
+                heads.append("loop")
             case Choice():
-                heads.append(("choice", None))
+                heads.append("choice")
             case _:
                 raise TypeError(f"not a type term: {t!r}")
 
     out: list[_Candidate] = []
-    tags = [h[0] for h in heads]
 
-    if all(tag == "atom" for tag in tags):
-        sig0 = heads[0][1]
-        if sig0[0] in _COLLECTIVES and all(h[1] == sig0 for h in heads):
-            new_residues = tuple(t.cont for t in residues)
-            coll = CollectiveStep(sig0[0], sig0[1], sig0[2], sig0[3], sig0[4])
-            out.append(_Candidate(coll, new_residues, stack, False))
+    coll = heads[0]
+    if isinstance(coll, Comm) and coll.kind in _COLLECTIVES and all(h == coll for h in heads):
+        out.append(_Candidate(coll, tuple(t.cont for t in residues), stack, False))
 
-    for sender in range(n):
-        if tags[sender] != "atom":
+    for sender, send in enumerate(heads):
+        if not isinstance(send, Comm) or send.kind != "send":
             continue
-        sig = heads[sender][1]
-        if sig[0] != "send":
-            continue
-        receiver = sig[1]
+        receiver = send.peer
         if not (0 <= receiver < n) or receiver == sender:
             continue
-        if tags[receiver] != "atom":
-            continue
-        rsig = heads[receiver][1]
-        if rsig[0] == "receive" and rsig[1] == sender and rsig[2] == sig[2] and rsig[3] == sig[3]:
+        if heads[receiver] == Comm("receive", sender, send.dtype, send.count):
             new_residues = list(residues)
             new_residues[sender] = residues[sender].cont
             new_residues[receiver] = residues[receiver].cont
             out.append(
                 _Candidate(
-                    P2PStep(sender, receiver, sig[2], sig[3]),
+                    P2PStep(sender, receiver, send.dtype, send.count),
                     tuple(new_residues),
                     stack,
                     False,
                 )
             )
 
-    if all(tag == "loop" for tag in tags):
+    if all(h == "loop" for h in heads):
         for enter in (True, False):
             if decisions_allowed[0 if enter else 1]:
                 out.append(_advance_decision(residues, stack, "loop", enter))
-    elif all(tag == "choice" for tag in tags):
+    elif all(h == "choice" for h in heads):
         for enter in (True, False):
             if decisions_allowed[0 if enter else 1]:
                 out.append(_advance_decision(residues, stack, "choice", enter))
@@ -444,9 +390,12 @@ def explore_all_tapes(
     por: bool = False,
 ) -> SimVerdict:
     """Explore all interleavings under every decision tape, with each
-    loop entered at most `max_loop_iters` consecutive times."""
+    loop entered at most `max_loop_iters` consecutive times. A bound of
+    0 never enters a loop, so loop bodies are not searched."""
     if not locals_:
         raise ValueError("ensemble must contain at least one rank")
+    if max_loop_iters < 0:
+        raise ValueError(f"max_loop_iters must be >= 0, got {max_loop_iters}")
     return _explore(tuple(locals_), ("bounded", max_loop_iters), state_limit, reverse_order, por)
 
 
@@ -478,9 +427,9 @@ def format_trail(trail: Sequence[Step]) -> str:
         match s:
             case P2PStep(sender, receiver, dtype, count):
                 lines.append(f"p2p src={sender} dst={receiver} dtype={dtype.value} len={count}")
-            case CollectiveStep("allreduce", _, dtype, count, op):
+            case Comm("allreduce", _, dtype, count, op):
                 lines.append(f"coll allreduce dtype={dtype.value} len={count} op={op.value}")
-            case CollectiveStep(kind, root, dtype, count, _):
+            case Comm(kind, root, dtype, count, _):
                 lines.append(f"coll {kind} root={root} dtype={dtype.value} len={count}")
             case DecisionStep(kind, enter):
                 lines.append(f"decision {kind} {'enter' if enter else 'skip'}")
@@ -507,9 +456,7 @@ def parse_trail(text: str) -> tuple[Step, ...]:
                 kv = dict(p.split("=", 1) for p in parts[2:])
                 root = int(kv["root"]) if "root" in kv else None
                 op = ReduceOp(kv["op"]) if "op" in kv else None
-                steps.append(
-                    CollectiveStep(kind, root, DataKind(kv["dtype"]), int(kv["len"]), op)
-                )
+                steps.append(Comm(kind, root, DataKind(kv["dtype"]), int(kv["len"]), op))
             elif parts[0] == "decision":
                 steps.append(DecisionStep(parts[1], parts[2] == "enter"))
             else:
@@ -524,25 +471,6 @@ def parse_trail(text: str) -> tuple[Step, ...]:
 # ---------------------------------------------------------------------------
 
 
-def _action_atom(a: Action):
-    from .exprs import Lit
-
-    match a:
-        case SendAction(peer, dtype, count):
-            return Send(Lit(peer), dtype, Lit(count))
-        case ReceiveAction(peer, dtype, count):
-            return Receive(Lit(peer), dtype, Lit(count))
-        case ScatterAction(root, dtype, count):
-            return Scatter(Lit(root), dtype, Lit(count))
-        case GatherAction(root, dtype, count):
-            return Gather(Lit(root), dtype, Lit(count))
-        case BcastAction(root, dtype, count):
-            return Bcast(Lit(root), dtype, Lit(count))
-        case AllreduceAction(dtype, count, op):
-            return Allreduce(dtype, Lit(count), op)
-    raise TypeError(f"cannot turn {a!r} into a local atom")
-
-
 def trace_to_term(actions: Sequence[Action]) -> LocalType:
     """A straight-line local type performing `actions` in order.
 
@@ -555,5 +483,5 @@ def trace_to_term(actions: Sequence[Action]) -> LocalType:
             if i != 0:
                 raise ValueError("finalize must be the last action of a trace")
             continue
-        term = Prefix(_action_atom(a), term)
+        term = Prefix(atom_of(a), term)
     return term

@@ -6,15 +6,17 @@ A global type speaks of messages between two ranks, a local type of
 sends and receives as seen by one rank. Collective atoms occur on both
 sides unchanged. Nodes are frozen dataclasses, so equality and hashing
 are structural; source positions never take part in comparisons.
+A ground local atom denotes a `Comm`, the one record of a concrete
+communication; `comm_of` and `atom_of` convert between the two.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Iterator, Union
+from typing import Iterator, NamedTuple, Union
 
-from .exprs import Env, Expr, Kind, Lit, Pos, eval_expr
+from .exprs import Env, Expr, ExprError, Kind, Lit, Pos, eval_expr
 
 
 class DataKind(enum.Enum):
@@ -96,6 +98,65 @@ CollectiveAtom = Union[Scatter, Gather, Bcast, Allreduce]
 GlobalAtom = Union[Message, Scatter, Gather, Bcast, Allreduce]
 LocalAtom = Union[Send, Receive, Scatter, Gather, Bcast, Allreduce]
 Atom = Union[Message, Send, Receive, Scatter, Gather, Bcast, Allreduce]
+
+
+class Comm(NamedTuple):
+    """One ground communication, as one rank performs it.
+
+    The same record is the head of a ground local view, the action of a
+    program statement, and a collective step of the simulation. `peer`
+    is the other rank of a send or receive, the root of a scatter,
+    gather or bcast, and None for an allreduce; `op` is set only for an
+    allreduce. A named tuple rather than a frozen dataclass, because the
+    search builds and compares one per rank head at every state.
+    """
+
+    kind: str  # send | receive | scatter | gather | bcast | allreduce
+    peer: int | None
+    dtype: DataKind
+    count: int
+    op: ReduceOp | None = None
+
+
+# The local atoms whose first field is the peer or root, by Comm kind.
+_LOCAL_ATOMS = {
+    "send": Send,
+    "receive": Receive,
+    "scatter": Scatter,
+    "gather": Gather,
+    "bcast": Bcast,
+}
+_KIND_OF = {cls: kind for kind, cls in _LOCAL_ATOMS.items()}
+
+
+def comm_of(a: LocalAtom) -> Comm:
+    """The communication a ground local atom performs.
+
+    Raises ValueError when a peer, root or length is not yet a value:
+    project the protocol or `ground_term` the local type first.
+    """
+    try:
+        match a:
+            case Allreduce(dtype, length, op):
+                return Comm("allreduce", None, dtype, eval_expr(length, {}), op)
+            case (
+                Send(who, dtype, length)
+                | Receive(who, dtype, length)
+                | Scatter(who, dtype, length)
+                | Gather(who, dtype, length)
+                | Bcast(who, dtype, length)
+            ):
+                return Comm(_KIND_OF[type(a)], eval_expr(who, {}), dtype, eval_expr(length, {}))
+    except ExprError:
+        raise ValueError("local atom is not ground; project or ground_term it first") from None
+    raise TypeError(f"not a local atom: {a!r}")
+
+
+def atom_of(c: Comm) -> LocalAtom:
+    """The ground local atom performing `c`; inverse of `comm_of`."""
+    if c.kind == "allreduce":
+        return Allreduce(c.dtype, Lit(c.count), c.op)
+    return _LOCAL_ATOMS[c.kind](Lit(c.peer), c.dtype, Lit(c.count))
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,14 @@
 """Typestate over local types: head accessors and the stepping relation.
 
 A rank's verification state is the residue of its local type. Each
-communication action a program performs must match the head prefix of
-the residue exactly; the residue then advances to the continuation.
-Loop and choice nodes are collective boundaries: an ordinary action
-arriving there is a structure error, distinct from a mismatched head.
-Every error carries a stable machine-readable `code` naming the class
-of defect, with the offending field first.
+communication action a program performs is a `Comm`, the one ground
+record of a communication, and must equal `comm_of` of the residue's
+head prefix field by field; the residue then advances to the
+continuation. `FinalizeAction` is the one action that communicates
+nothing. Loop and choice nodes are collective boundaries: an ordinary
+action arriving there is a structure error, distinct from a mismatched
+head. Every error carries a stable machine-readable `code` naming the
+class of defect, with the offending field first.
 """
 
 from __future__ import annotations
@@ -14,22 +16,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from .exprs import ExprError, eval_expr
 from .terms import (
-    Allreduce,
-    Bcast,
     Choice,
+    Comm,
     DataKind,
     End,
-    Gather,
     LocalAtom,
     LocalType,
     Loop,
     Prefix,
-    Receive,
-    ReduceOp,
-    Scatter,
-    Send,
+    atom_of,
+    comm_of,
 )
 from .printer import format_atom
 
@@ -40,61 +37,11 @@ from .printer import format_atom
 
 
 @dataclass(frozen=True)
-class SendAction:
-    peer: int
-    dtype: DataKind
-    count: int
-
-
-@dataclass(frozen=True)
-class ReceiveAction:
-    peer: int
-    dtype: DataKind
-    count: int
-
-
-@dataclass(frozen=True)
-class ScatterAction:
-    root: int
-    dtype: DataKind
-    count: int
-
-
-@dataclass(frozen=True)
-class GatherAction:
-    root: int
-    dtype: DataKind
-    count: int
-
-
-@dataclass(frozen=True)
-class BcastAction:
-    root: int
-    dtype: DataKind
-    count: int
-
-
-@dataclass(frozen=True)
-class AllreduceAction:
-    dtype: DataKind
-    count: int
-    op: ReduceOp
-
-
-@dataclass(frozen=True)
 class FinalizeAction:
     pass
 
 
-Action = Union[
-    SendAction,
-    ReceiveAction,
-    ScatterAction,
-    GatherAction,
-    BcastAction,
-    AllreduceAction,
-    FinalizeAction,
-]
+Action = Union[Comm, FinalizeAction]
 
 
 @dataclass(frozen=True)
@@ -106,22 +53,9 @@ class BufferFacts:
 
 
 def describe_action(a: Action) -> str:
-    match a:
-        case SendAction(peer, dtype, count):
-            return f"send({peer},{dtype.value},{count})"
-        case ReceiveAction(peer, dtype, count):
-            return f"receive({peer},{dtype.value},{count})"
-        case ScatterAction(root, dtype, count):
-            return f"scatter({root},{dtype.value},{count})"
-        case GatherAction(root, dtype, count):
-            return f"gather({root},{dtype.value},{count})"
-        case BcastAction(root, dtype, count):
-            return f"bcast({root},{dtype.value},{count})"
-        case AllreduceAction(dtype, count, op):
-            return f"allreduce({dtype.value},{count},{op.value})"
-        case FinalizeAction():
-            return "finalize"
-    raise TypeError(f"not an action: {a!r}")
+    if isinstance(a, FinalizeAction):
+        return "finalize"
+    return format_atom(atom_of(a))
 
 
 def describe_node(t: LocalType) -> str:
@@ -239,65 +173,14 @@ def choice_branches(t: LocalType) -> tuple[LocalType, LocalType]:
 # ---------------------------------------------------------------------------
 
 
-def _value(e) -> int:
-    try:
-        return eval_expr(e, {})
-    except ExprError:
-        raise ValueError(
-            "local type is not ground; project or ground_term it first"
-        ) from None
-
-
-def _atom_fields(a: LocalAtom):
-    # (constructor, peer-or-root, dtype, count, op)
-    match a:
-        case Send(peer, dtype, length):
-            return ("send", _value(peer), dtype, _value(length), None)
-        case Receive(peer, dtype, length):
-            return ("receive", _value(peer), dtype, _value(length), None)
-        case Scatter(root, dtype, length):
-            return ("scatter", _value(root), dtype, _value(length), None)
-        case Gather(root, dtype, length):
-            return ("gather", _value(root), dtype, _value(length), None)
-        case Bcast(root, dtype, length):
-            return ("bcast", _value(root), dtype, _value(length), None)
-        case Allreduce(dtype, length, op):
-            return ("allreduce", None, dtype, _value(length), op)
-    raise TypeError(f"not a local atom: {a!r}")
-
-
-def _action_fields(a: Action):
-    match a:
-        case SendAction(peer, dtype, count):
-            return ("send", peer, dtype, count, None)
-        case ReceiveAction(peer, dtype, count):
-            return ("receive", peer, dtype, count, None)
-        case ScatterAction(root, dtype, count):
-            return ("scatter", root, dtype, count, None)
-        case GatherAction(root, dtype, count):
-            return ("gather", root, dtype, count, None)
-        case BcastAction(root, dtype, count):
-            return ("bcast", root, dtype, count, None)
-        case AllreduceAction(dtype, count, op):
-            return ("allreduce", None, dtype, count, op)
-        case FinalizeAction():
-            return ("finalize", None, None, None, None)
-    raise TypeError(f"not an action: {a!r}")
-
-
 def mismatched_fields(atom: LocalAtom, action: Action) -> tuple[str, ...]:
     """Names of the fields where `action` disagrees with `atom`, most
     significant first; empty when they match."""
-    ak = _atom_fields(atom)
-    bk = _action_fields(action)
-    if ak[0] != bk[0]:
+    head = comm_of(atom)
+    if not isinstance(action, Comm) or head.kind != action.kind:
         return ("kind",)
-    diffs = []
-    labels = ("peer" if ak[0] in ("send", "receive") else "root", "dtype", "len", "op")
-    for label, x, y in zip(labels, ak[1:], bk[1:]):
-        if x != y:
-            diffs.append(label)
-    return tuple(diffs)
+    labels = ("peer" if head.kind in ("send", "receive") else "root", "dtype", "len", "op")
+    return tuple(label for label, x, y in zip(labels, head[1:], action[1:]) if x != y)
 
 
 def step(t: LocalType, action: Action, buf: BufferFacts | None = None) -> LocalType:
@@ -324,17 +207,15 @@ def step(t: LocalType, action: Action, buf: BufferFacts | None = None) -> LocalT
             if diffs:
                 raise HeadMismatch(atom, action, diffs)
             if buf is not None:
-                kind = _action_fields(action)[2]
-                count = _action_fields(action)[3]
-                if buf.elem != kind:
+                if buf.elem != action.dtype:
                     raise BufferObligation(
                         f"buffer holds {buf.elem.value} elements but the action"
-                        f" transfers {kind.value}"
+                        f" transfers {action.dtype.value}"
                     )
-                if buf.capacity < count:
+                if buf.capacity < action.count:
                     raise BufferObligation(
                         f"buffer capacity {buf.capacity} is smaller than the"
-                        f" transferred count {count}"
+                        f" transferred count {action.count}"
                     )
             return cont
     raise TypeError(f"not a type term: {t!r}")

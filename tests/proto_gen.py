@@ -29,16 +29,9 @@ from commcheck.terms import (
     Scatter,
     Send,
     TypeTerm,
+    comm_of,
 )
-from commcheck.typestate import (
-    Action,
-    AllreduceAction,
-    BcastAction,
-    GatherAction,
-    ReceiveAction,
-    ScatterAction,
-    SendAction,
-)
+from commcheck.typestate import Action
 
 _DTYPES = (DataKind.INT, DataKind.FLOAT)
 _OPS = (ReduceOp.MAX, ReduceOp.MIN, ReduceOp.SUM)
@@ -186,23 +179,5 @@ def random_local_term(
     return seq(0)
 
 
-def action_for(atom) -> Action:
-    """The unique action matching a ground local atom."""
-    match atom:
-        case Send(peer, dtype, length):
-            return SendAction(peer.value, dtype, length.value)
-        case Receive(peer, dtype, length):
-            return ReceiveAction(peer.value, dtype, length.value)
-        case Scatter(root, dtype, length):
-            return ScatterAction(root.value, dtype, length.value)
-        case Gather(root, dtype, length):
-            return GatherAction(root.value, dtype, length.value)
-        case Bcast(root, dtype, length):
-            return BcastAction(root.value, dtype, length.value)
-        case Allreduce(dtype, length, op):
-            return AllreduceAction(dtype, length.value, op)
-    raise TypeError(f"not a ground local atom: {atom!r}")
-
-
 def random_action(rng: random.Random, num_procs: int = 4) -> Action:
-    return action_for(random_local_atom(rng, num_procs))
+    return comm_of(random_local_atom(rng, num_procs))

@@ -16,7 +16,7 @@ from commcheck.printer import format_protocol
 from commcheck.program import parse_program
 from commcheck.projection import project_all
 from commcheck.sim import AllDone, Deadlock, explore_all_tapes, loop_tape, simulate, trace_to_term
-from commcheck.terms import Choice, DataKind, End, Loop, Prefix, Scatter, ground_term
+from commcheck.terms import Choice, DataKind, End, Loop, Prefix, Scatter, comm_of, ground_term
 from commcheck.typestate import (
     NotAPrefix,
     StepError,
@@ -28,7 +28,7 @@ from commcheck.typestate import (
 )
 
 from conftest import bundled_text
-from proto_gen import action_for, random_action, random_local_term, random_protocol
+from proto_gen import random_action, random_local_term, random_protocol
 
 
 class timer:
@@ -145,7 +145,7 @@ def test_criterion_5_algebra_laws(acceptance):
 
             if isinstance(t, Prefix):
                 # success exactly on the matching action, result == next
-                good = action_for(t.atom)
+                good = comm_of(t.atom)
                 assert step(t, good) == next_type(t)
                 probe = random_action(rng)
                 if probe == good:

@@ -8,15 +8,8 @@ from commcheck.checker import check_compliance, erase_to_trace
 from commcheck.parser import parse_protocol
 from commcheck.program import parse_program
 from commcheck.sim import DecisionTape, loop_tape
-from commcheck.terms import DataKind, ReduceOp
-from commcheck.typestate import (
-    AllreduceAction,
-    FinalizeAction,
-    GatherAction,
-    ReceiveAction,
-    ScatterAction,
-    SendAction,
-)
+from commcheck.terms import Comm, DataKind, ReduceOp
+from commcheck.typestate import FinalizeAction
 
 
 def one_code(report):
@@ -219,13 +212,13 @@ def test_erasure_of_ring_rank0(fdiff_program_text):
     tape = loop_tape(1, True)
     actions = erase_to_trace(prog, 0, env, tape)
     assert actions == [
-        ScatterAction(0, DataKind.FLOAT, 3),
-        SendAction(2, DataKind.FLOAT, 1),
-        ReceiveAction(1, DataKind.FLOAT, 1),
-        ReceiveAction(2, DataKind.FLOAT, 1),
-        SendAction(1, DataKind.FLOAT, 1),
-        AllreduceAction(DataKind.FLOAT, 1, ReduceOp.MAX),
-        GatherAction(0, DataKind.FLOAT, 3),
+        Comm("scatter", 0, DataKind.FLOAT, 3),
+        Comm("send", 2, DataKind.FLOAT, 1),
+        Comm("receive", 1, DataKind.FLOAT, 1),
+        Comm("receive", 2, DataKind.FLOAT, 1),
+        Comm("send", 1, DataKind.FLOAT, 1),
+        Comm("allreduce", None, DataKind.FLOAT, 1, ReduceOp.MAX),
+        Comm("gather", 0, DataKind.FLOAT, 3),
         FinalizeAction(),
     ]
 
@@ -234,13 +227,11 @@ def test_erasure_zero_iterations(fdiff_program_text):
     prog = parse_program(fdiff_program_text)
     env = {"size": 9, "np": 3}
     actions = erase_to_trace(prog, 1, env, DecisionTape([False, True]))
-    assert [type(a).__name__ for a in actions] == [
-        "ScatterAction",
-        "GatherAction",
-        "FinalizeAction",
-    ]
+    assert [a.kind for a in actions[:-1]] == ["scatter", "gather"]
+    assert actions[-1] == FinalizeAction()
     actions = erase_to_trace(prog, 1, env, DecisionTape([False, False]))
-    assert [type(a).__name__ for a in actions] == ["ScatterAction", "FinalizeAction"]
+    assert [a.kind for a in actions[:-1]] == ["scatter"]
+    assert actions[-1] == FinalizeAction()
 
 
 def test_erasure_loop_iterations_scale(fdiff_program_text):
@@ -248,7 +239,7 @@ def test_erasure_loop_iterations_scale(fdiff_program_text):
     env = {"size": 9, "np": 3}
     for k in (0, 1, 2, 5):
         actions = erase_to_trace(prog, 2, env, loop_tape(k, False))
-        sends = [a for a in actions if isinstance(a, SendAction)]
+        sends = [a for a in actions if isinstance(a, Comm) and a.kind == "send"]
         assert len(sends) == 2 * k
 
 
@@ -258,7 +249,7 @@ def test_erasure_is_protocol_independent():
         "buffer b int[1]\ninit\nsend peer=0 buf=b len=1\nfinalize\n"
     )
     actions = erase_to_trace(prog, 0, {"np": 1}, DecisionTape([]))
-    assert actions == [SendAction(0, DataKind.INT, 1), FinalizeAction()]
+    assert actions == [Comm("send", 0, DataKind.INT, 1), FinalizeAction()]
 
 
 def test_erasure_minimal_program():

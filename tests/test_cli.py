@@ -224,6 +224,20 @@ def test_simulate_symbolic_view_with_param(tmp_path, capsys):
     assert "cannot ground" in err
 
 
+def test_simulate_rejects_a_negative_loop_bound(tmp_path, capsys):
+    (tmp_path / "a.clt").write_text("loop(send(1,MPI_INT,1).end).end\n")
+    (tmp_path / "b.clt").write_text("loop(send(0,MPI_INT,1).end).end\n")
+    views = [str(tmp_path / "a.clt"), str(tmp_path / "b.clt")]
+    code, out, err = run(capsys, "simulate", *views, "--max-loop-iters", "-1")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.splitlines()[-1].endswith("--max-loop-iters: N must be >= 0, got -1")
+    # the deadlock inside the loop body is found once the loop may run
+    code, out, _ = run(capsys, "simulate", *views, "--max-loop-iters", "1")
+    assert code == EXIT_FAIL
+    assert "verdict: deadlock" in out
+
+
 def test_simulate_state_limit(ring, capsys):
     code, out, _ = run(
         capsys, "simulate", str(ring / "ring.cty"),
@@ -243,14 +257,22 @@ def test_simulate_ill_formed_protocol(ring, capsys):
 
 
 def test_python_dash_m_entry(ring):
+    import os
     import subprocess
     import sys
+    from pathlib import Path
 
+    import commcheck
+
+    # The child imports the same package as this process, installed or not.
+    src = str(Path(commcheck.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "commcheck", "validate", str(ring / "ring.cty"),
          "--param", "size=9"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == EXIT_OK
     assert "well-formed" in proc.stdout

@@ -14,6 +14,7 @@ import pytest
 
 from commcheck.exprs import Lit, eval_expr
 from commcheck.parser import parse_local_term, parse_protocol
+from commcheck.printer import format_term
 from commcheck.projection import project, project_all
 from commcheck.terms import (
     Allreduce,
@@ -124,6 +125,24 @@ def test_elision_of_unrelated_messages():
     assert project(proto, {}, 2) == End()
     assert project(proto, {}, 0) == Prefix(Send(Lit(1), DataKind.INT, Lit(4)), End())
     assert project(proto, {}, 1) == Prefix(Receive(Lit(0), DataKind.INT, Lit(4)), End())
+
+
+def test_long_chain_projects_and_prints():
+    # Far deeper than the interpreter stack: projection walks the
+    # continuation spine iteratively, as the parser and printer do.
+    rng = random.Random(10_000)
+    lines = ["nprocs 3."]
+    expected = {rank: [] for rank in range(3)}
+    for _ in range(10_000):
+        src, dst = rng.sample(range(3), 2)
+        length = rng.randint(0, 9)
+        lines.append(f"message({src},{dst},MPI_INT,{length}).")
+        expected[src].append(f"send({dst},MPI_INT,{length}).")
+        expected[dst].append(f"receive({src},MPI_INT,{length}).")
+    lines.append("end")
+    views = project_all(parse_protocol("\n".join(lines)), {})
+    for rank in range(3):
+        assert format_term(views[rank]).splitlines() == expected[rank] + ["end"]
 
 
 def test_collectives_survive_at_every_rank():

@@ -10,7 +10,6 @@ from commcheck.parser import parse_local_term, parse_protocol
 from commcheck.projection import project_all
 from commcheck.sim import (
     AllDone,
-    CollectiveStep,
     Deadlock,
     DecisionStep,
     DecisionTape,
@@ -25,8 +24,8 @@ from commcheck.sim import (
     simulate,
     trace_to_term,
 )
-from commcheck.terms import DataKind, End, ReduceOp
-from commcheck.typestate import FinalizeAction, ReceiveAction, SendAction
+from commcheck.terms import Comm, DataKind, End, ReduceOp
+from commcheck.typestate import FinalizeAction
 
 from proto_gen import random_protocol
 
@@ -244,6 +243,11 @@ def test_explore_all_tapes_bounds_loop_unfolding():
     assert isinstance(verdict, AllDone)
 
 
+def test_explore_all_tapes_rejects_a_negative_loop_bound():
+    with pytest.raises(ValueError):
+        explore_all_tapes(ensemble("loop(end).end", "loop(end).end"), -1)
+
+
 def test_state_limit_yields_exceeded_not_a_lie():
     texts = [
         "send(1,MPI_INT,1).receive(1,MPI_INT,1).end",
@@ -271,7 +275,7 @@ def test_witness_replays_to_the_blocked_state():
     ]
     verdict = simulate(ensemble(*texts), [])
     assert isinstance(verdict, Deadlock)
-    assert verdict.trail == (CollectiveStep("scatter", 0, DataKind.FLOAT, 3, None),)
+    assert verdict.trail == (Comm("scatter", 0, DataKind.FLOAT, 3, None),)
     state = replay(ensemble(*texts), verdict.trail)
     assert state == verdict.state
 
@@ -284,10 +288,10 @@ def test_replay_rejects_foreign_trails():
 
 def test_trail_format_round_trip():
     trail = (
-        CollectiveStep("scatter", 0, DataKind.FLOAT, 3, None),
+        Comm("scatter", 0, DataKind.FLOAT, 3, None),
         DecisionStep("loop", True),
         P2PStep(2, 1, DataKind.FLOAT, 1),
-        CollectiveStep("allreduce", None, DataKind.FLOAT, 1, ReduceOp.MAX),
+        Comm("allreduce", None, DataKind.FLOAT, 1, ReduceOp.MAX),
         DecisionStep("loop", False),
         DecisionStep("choice", False),
     )
@@ -319,7 +323,7 @@ def test_witness_from_flat_ring_names_every_rank_blocked(
     # everyone is stuck sending left: a classic unbuffered ring cycle
     assert all(b.startswith("blocked sending") for b in verdict.blocked)
     # the witness prefix is everything that still worked: just the scatter
-    assert verdict.trail == (CollectiveStep("scatter", 0, DataKind.FLOAT, 3, None),)
+    assert verdict.trail == (Comm("scatter", 0, DataKind.FLOAT, 3, None),)
     assert replay(locals_, verdict.trail) == verdict.state
 
 
@@ -364,8 +368,8 @@ def test_por_still_finds_planted_deadlocks():
 
 def test_trace_to_term_round_trip():
     actions = [
-        SendAction(1, DataKind.INT, 1),
-        ReceiveAction(1, DataKind.INT, 2),
+        Comm("send", 1, DataKind.INT, 1),
+        Comm("receive", 1, DataKind.INT, 2),
         FinalizeAction(),
     ]
     term = trace_to_term(actions)
@@ -374,7 +378,7 @@ def test_trace_to_term_round_trip():
 
 def test_trace_to_term_rejects_mid_trace_finalize():
     with pytest.raises(ValueError):
-        trace_to_term([FinalizeAction(), SendAction(1, DataKind.INT, 1)])
+        trace_to_term([FinalizeAction(), Comm("send", 1, DataKind.INT, 1)])
 
 
 def test_trace_to_term_empty():

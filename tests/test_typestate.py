@@ -7,21 +7,27 @@ import random
 import pytest
 
 from commcheck.parser import parse_local_term
-from commcheck.terms import Choice, DataKind, End, Loop, Prefix, ReduceOp, Send
+from commcheck.printer import format_atom
+from commcheck.terms import (
+    Choice,
+    Comm,
+    DataKind,
+    End,
+    Loop,
+    Prefix,
+    ReduceOp,
+    Send,
+    atom_of,
+    comm_of,
+)
 from commcheck.typestate import (
-    AllreduceAction,
     AtCollectiveBoundary,
-    BcastAction,
     BufferFacts,
     BufferObligation,
     FinalizeAction,
-    GatherAction,
     HeadMismatch,
     NotAPrefix,
-    ReceiveAction,
     ResidualNotEnd,
-    ScatterAction,
-    SendAction,
     StepError,
     check_finalized,
     choice_branches,
@@ -33,7 +39,7 @@ from commcheck.typestate import (
     step,
 )
 
-from proto_gen import action_for, random_action, random_local_term
+from proto_gen import random_action, random_local_atom, random_local_term
 
 
 def lt(text):
@@ -74,18 +80,18 @@ def test_loop_and_choice_accessors():
 
 def test_step_advances_on_exact_match():
     t = lt("send(1,MPI_INT,4).receive(0,MPI_FLOAT,2).end")
-    t = step(t, SendAction(1, DataKind.INT, 4))
-    t = step(t, ReceiveAction(0, DataKind.FLOAT, 2))
+    t = step(t, Comm("send", 1, DataKind.INT, 4))
+    t = step(t, Comm("receive", 0, DataKind.FLOAT, 2))
     assert t == End()
     check_finalized(t)
 
 
 def test_step_collectives():
     t = lt("scatter(0,MPI_FLOAT,3).gather(0,MPI_FLOAT,3).bcast(1,MPI_INT,2).allreduce(MPI_FLOAT,1,MPI_MAX).end")
-    t = step(t, ScatterAction(0, DataKind.FLOAT, 3))
-    t = step(t, GatherAction(0, DataKind.FLOAT, 3))
-    t = step(t, BcastAction(1, DataKind.INT, 2))
-    t = step(t, AllreduceAction(DataKind.FLOAT, 1, ReduceOp.MAX))
+    t = step(t, Comm("scatter", 0, DataKind.FLOAT, 3))
+    t = step(t, Comm("gather", 0, DataKind.FLOAT, 3))
+    t = step(t, Comm("bcast", 1, DataKind.INT, 2))
+    t = step(t, Comm("allreduce", None, DataKind.FLOAT, 1, ReduceOp.MAX))
     assert t == End()
 
 
@@ -94,60 +100,60 @@ def test_step_collectives():
 
 def test_head_mismatch_peer():
     with pytest.raises(HeadMismatch) as err:
-        step(lt("send(1,MPI_INT,4).end"), SendAction(0, DataKind.INT, 4))
+        step(lt("send(1,MPI_INT,4).end"), Comm("send", 0, DataKind.INT, 4))
     assert err.value.code == "head-mismatch:peer"
     assert err.value.fields == ("peer",)
 
 
 def test_head_mismatch_root():
     with pytest.raises(HeadMismatch) as err:
-        step(lt("scatter(0,MPI_INT,4).end"), ScatterAction(1, DataKind.INT, 4))
+        step(lt("scatter(0,MPI_INT,4).end"), Comm("scatter", 1, DataKind.INT, 4))
     assert err.value.code == "head-mismatch:root"
 
 
 def test_head_mismatch_dtype():
     with pytest.raises(HeadMismatch) as err:
-        step(lt("send(1,MPI_INT,4).end"), SendAction(1, DataKind.FLOAT, 4))
+        step(lt("send(1,MPI_INT,4).end"), Comm("send", 1, DataKind.FLOAT, 4))
     assert err.value.code == "head-mismatch:dtype"
 
 
 def test_head_mismatch_len():
     with pytest.raises(HeadMismatch) as err:
-        step(lt("send(1,MPI_INT,4).end"), SendAction(1, DataKind.INT, 5))
+        step(lt("send(1,MPI_INT,4).end"), Comm("send", 1, DataKind.INT, 5))
     assert err.value.code == "head-mismatch:len"
 
 
 def test_head_mismatch_op():
     with pytest.raises(HeadMismatch) as err:
-        step(lt("allreduce(MPI_INT,1,MPI_MAX).end"), AllreduceAction(DataKind.INT, 1, ReduceOp.SUM))
+        step(lt("allreduce(MPI_INT,1,MPI_MAX).end"), Comm("allreduce", None, DataKind.INT, 1, ReduceOp.SUM))
     assert err.value.code == "head-mismatch:op"
 
 
 def test_head_mismatch_kind_wins_over_field_diffs():
     # send vs receive: report the constructor clash, not the field noise
     with pytest.raises(HeadMismatch) as err:
-        step(lt("send(1,MPI_INT,4).end"), ReceiveAction(0, DataKind.FLOAT, 2))
+        step(lt("send(1,MPI_INT,4).end"), Comm("receive", 0, DataKind.FLOAT, 2))
     assert err.value.code == "head-mismatch:kind"
     assert err.value.fields == ("kind",)
 
 
 def test_multiple_field_diffs_listed_most_significant_first():
-    fields = mismatched_fields(first(lt("send(1,MPI_INT,4).end")), SendAction(2, DataKind.FLOAT, 9))
+    fields = mismatched_fields(first(lt("send(1,MPI_INT,4).end")), Comm("send", 2, DataKind.FLOAT, 9))
     assert fields == ("peer", "dtype", "len")
 
 
 def test_collective_boundary_errors():
     with pytest.raises(AtCollectiveBoundary) as err:
-        step(lt("loop(end).end"), SendAction(1, DataKind.INT, 1))
+        step(lt("loop(end).end"), Comm("send", 1, DataKind.INT, 1))
     assert err.value.code == "at-collective-boundary:loop"
     with pytest.raises(AtCollectiveBoundary) as err:
-        step(lt("choice(end,end).end"), AllreduceAction(DataKind.INT, 1, ReduceOp.SUM))
+        step(lt("choice(end,end).end"), Comm("allreduce", None, DataKind.INT, 1, ReduceOp.SUM))
     assert err.value.code == "at-collective-boundary:choice"
 
 
 def test_step_past_end():
     with pytest.raises(NotAPrefix) as err:
-        step(lt("end"), SendAction(1, DataKind.INT, 1))
+        step(lt("end"), Comm("send", 1, DataKind.INT, 1))
     assert err.value.code == "not-a-prefix"
     assert "send(1,MPI_INT,1)" in str(err.value)
 
@@ -162,7 +168,7 @@ def test_finalize_with_obligations_left():
 
 def test_non_ground_type_is_a_usage_error():
     with pytest.raises(ValueError):
-        step(lt("send(1,MPI_INT,n).end"), SendAction(1, DataKind.INT, 1))
+        step(lt("send(1,MPI_INT,n).end"), Comm("send", 1, DataKind.INT, 1))
 
 
 # -- buffer obligations -------------------------------------------------------
@@ -172,7 +178,7 @@ def test_buffer_kind_must_match():
     with pytest.raises(BufferObligation) as err:
         step(
             lt("send(1,MPI_FLOAT,4).end"),
-            SendAction(1, DataKind.FLOAT, 4),
+            Comm("send", 1, DataKind.FLOAT, 4),
             BufferFacts(DataKind.INT, 8),
         )
     assert err.value.code == "buffer-obligation"
@@ -183,7 +189,7 @@ def test_buffer_capacity_must_cover_count():
     with pytest.raises(BufferObligation) as err:
         step(
             lt("send(1,MPI_INT,4).end"),
-            SendAction(1, DataKind.INT, 4),
+            Comm("send", 1, DataKind.INT, 4),
             BufferFacts(DataKind.INT, 3),
         )
     assert "capacity 3" in str(err.value)
@@ -191,8 +197,8 @@ def test_buffer_capacity_must_cover_count():
 
 def test_buffer_exactly_fits_or_larger_is_fine():
     t = lt("send(1,MPI_INT,4).send(1,MPI_INT,4).end")
-    t = step(t, SendAction(1, DataKind.INT, 4), BufferFacts(DataKind.INT, 4))
-    t = step(t, SendAction(1, DataKind.INT, 4), BufferFacts(DataKind.INT, 100))
+    t = step(t, Comm("send", 1, DataKind.INT, 4), BufferFacts(DataKind.INT, 4))
+    t = step(t, Comm("send", 1, DataKind.INT, 4), BufferFacts(DataKind.INT, 100))
     assert t == End()
 
 
@@ -201,7 +207,7 @@ def test_head_mismatch_reported_before_buffer_trouble():
     with pytest.raises(HeadMismatch):
         step(
             lt("send(1,MPI_INT,4).end"),
-            SendAction(2, DataKind.INT, 4),
+            Comm("send", 2, DataKind.INT, 4),
             BufferFacts(DataKind.FLOAT, 0),
         )
 
@@ -213,8 +219,8 @@ def test_all_errors_are_step_errors_with_codes():
     errs = []
     for thunk in (
         lambda: step(lt("end"), FinalizeAction()),
-        lambda: step(lt("loop(end).end"), SendAction(0, DataKind.INT, 1)),
-        lambda: step(lt("send(1,MPI_INT,1).end"), SendAction(0, DataKind.INT, 1)),
+        lambda: step(lt("loop(end).end"), Comm("send", 0, DataKind.INT, 1)),
+        lambda: step(lt("send(1,MPI_INT,1).end"), Comm("send", 0, DataKind.INT, 1)),
         lambda: check_finalized(lt("loop(end).end")),
     ):
         with pytest.raises(StepError) as err:
@@ -247,7 +253,7 @@ def test_walking_a_random_spine_with_matching_actions_always_succeeds():
         assert tail == End()
         residue = t
         for atom in atoms:
-            residue = step(residue, action_for(atom))
+            residue = step(residue, comm_of(atom))
         check_finalized(residue)
 
 
@@ -259,7 +265,7 @@ def test_random_wrong_action_never_advances_silently():
         if not isinstance(t, Prefix):
             continue
         action = random_action(rng)
-        expected = action_for(t.atom)
+        expected = comm_of(t.atom)
         if action == expected:
             hits["match"] += 1
             assert step(t, action) == t.cont
@@ -273,14 +279,29 @@ def test_random_wrong_action_never_advances_silently():
 
 def test_describe_action_is_printable_for_all_actions():
     samples = [
-        SendAction(1, DataKind.INT, 1),
-        ReceiveAction(0, DataKind.FLOAT, 2),
-        ScatterAction(0, DataKind.INT, 3),
-        GatherAction(2, DataKind.FLOAT, 4),
-        BcastAction(1, DataKind.INT, 5),
-        AllreduceAction(DataKind.FLOAT, 1, ReduceOp.MIN),
+        Comm("send", 1, DataKind.INT, 1),
+        Comm("receive", 0, DataKind.FLOAT, 2),
+        Comm("scatter", 0, DataKind.INT, 3),
+        Comm("gather", 2, DataKind.FLOAT, 4),
+        Comm("bcast", 1, DataKind.INT, 5),
+        Comm("allreduce", None, DataKind.FLOAT, 1, ReduceOp.MIN),
         FinalizeAction(),
     ]
     for a in samples:
         text = describe_action(a)
         assert text and " " not in text
+
+
+def test_comm_of_and_atom_of_are_inverse():
+    rng = random.Random(2705)
+    for _ in range(200):
+        atom = random_local_atom(rng)
+        c = comm_of(atom)
+        assert atom_of(c) == atom
+        assert comm_of(atom_of(c)) == c
+        assert describe_action(c) == format_atom(atom_of(c))
+
+
+def test_comm_of_rejects_a_non_ground_atom():
+    with pytest.raises(ValueError):
+        comm_of(first(lt("send(1,MPI_INT,n).end")))
