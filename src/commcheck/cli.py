@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 from pathlib import Path
 
 from .checker import CheckDiagnostic, check_compliance
@@ -279,14 +280,14 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     )
 
 
-def _loop_bound(text: str) -> int:
+def _int_at_least(low: int, text: str) -> int:
     try:
         value = int(text)
     except ValueError:
         # the message argparse gives for `type=int`
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"N must be >= 0, got {value}")
+    if value < low:
+        raise argparse.ArgumentTypeError(f"N must be >= {low}, got {value}")
     return value
 
 
@@ -323,18 +324,19 @@ def build_arg_parser() -> argparse.ArgumentParser:
     )
     p_sim.add_argument(
         "--max-loop-iters",
-        type=_loop_bound,
+        type=partial(_int_at_least, 0),
         default=2,
         metavar="N",
         help="enter each loop at most N >= 0 consecutive times (default 2);"
-        " with 0 no loop is entered, so deadlocks inside loop bodies are not searched",
+        " with 0 no loop is entered, so deadlocks inside loop bodies are not searched."
+        " Both branches of every choice are searched at any N",
     )
     p_sim.add_argument(
         "--state-limit",
-        type=int,
+        type=partial(_int_at_least, 1),
         default=DEFAULT_STATE_LIMIT,
         metavar="N",
-        help=f"state budget before giving up (default {DEFAULT_STATE_LIMIT})",
+        help=f"state budget N >= 1 before giving up (default {DEFAULT_STATE_LIMIT})",
     )
     p_sim.add_argument("--witness", metavar="FILE", help="write a deadlock witness trail here")
     _add_common(p_sim)

@@ -10,17 +10,22 @@ fire only when every rank sits at the decision, and all ranks take the
 same boolean. Entering a loop grafts the body in front
 of the loop node again; declining moves every rank to the continuation.
 
-The explorer walks every interleaving depth-first with memoization on
-ensemble states. Verdicts are three-valued: AllDone (no reachable stuck
-state), Deadlock (with a replayable witness prefix), or
-StateSpaceExceeded when the state budget runs out, which is distinct
-from both and never silently collapsed into a pass or fail.
+The explorer walks every interleaving depth-first, memoized on the
+ensemble's residues plus one control state per mode, which only
+decision steps read and change. Under a fixed tape (`simulate`) it is
+the number of decisions taken, so the tape gives the next one. In the
+bounded search over every tape (`explore_all_tapes`) it is the stack of
+active loops with their consecutive entries, which caps each loop's
+unfolding; choices are never capped. Verdicts are three-valued:
+AllDone (no reachable stuck state), Deadlock (with a replayable witness
+prefix), or StateSpaceExceeded when the state budget runs out, which is
+distinct from both and never silently collapsed into a pass or fail.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Any, Callable, Sequence, Union
 
 from .terms import (
     Choice,
@@ -46,6 +51,12 @@ class TapeExhausted(Exception):
     """A collective decision was needed but the tape had no entry left."""
 
 
+def _tape_entry(entries: tuple[bool, ...], i: int) -> bool:
+    if i >= len(entries):
+        raise TapeExhausted(f"decision {i + 1} requested but the tape has {len(entries)} entries")
+    return entries[i]
+
+
 class DecisionTape:
     """A finite, shared sequence of collective decisions.
 
@@ -60,12 +71,7 @@ class DecisionTape:
         self._next = 0
 
     def take(self) -> bool:
-        if self._next >= len(self.entries):
-            raise TapeExhausted(
-                f"decision {self._next + 1} requested but the tape has"
-                f" {len(self.entries)} entries"
-            )
-        value = self.entries[self._next]
+        value = _tape_entry(self.entries, self._next)
         self._next += 1
         return value
 
@@ -102,17 +108,14 @@ class DecisionStep:
 Step = Union[P2PStep, Comm, DecisionStep]
 
 
+Residues = tuple[LocalType, ...]  # one residual local type per rank
+
+
 @dataclass(frozen=True)
 class SimState:
-    """Residual local types per rank, plus the loop-bounding stack.
+    """Residual local types per rank."""
 
-    The stack tracks consecutive entries into the same loop node so that
-    bounded exploration can cap unfolding; entries are (per-rank loop
-    nodes, count).
-    """
-
-    residues: tuple[LocalType, ...]
-    loop_stack: tuple[tuple[tuple[LocalType, ...], int], ...] = ()
+    residues: Residues
 
 
 @dataclass(frozen=True)
@@ -166,77 +169,17 @@ def _describe_head(t: LocalType) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Candidate:
-    step: Step
-    residues: tuple[LocalType, ...]
-    stack: tuple
-    decided: bool  # consumed one tape entry
-
-
-def _advance_decision(
-    residues: tuple[LocalType, ...],
-    stack: tuple,
-    kind: str,
-    enter: bool,
-) -> _Candidate:
-    nodes = residues
-    if kind == "loop":
-        if enter:
-            new_residues = tuple(concat(t.body, t) for t in residues)
-            if stack and stack[-1][0] == nodes:
-                new_stack = stack[:-1] + ((nodes, stack[-1][1] + 1),)
-            else:
-                new_stack = stack + ((nodes, 1),)
-        else:
-            new_residues = tuple(t.cont for t in residues)
-            new_stack = stack[:-1] if stack and stack[-1][0] == nodes else stack
-    else:
-        if enter:
-            new_residues = tuple(concat(t.true_branch, t.cont) for t in residues)
-        else:
-            new_residues = tuple(concat(t.false_branch, t.cont) for t in residues)
-        new_stack = stack
-    return _Candidate(DecisionStep(kind, enter), new_residues, new_stack, True)
-
-
-def _loop_entries_so_far(stack: tuple, nodes: tuple) -> int:
-    if stack and stack[-1][0] == nodes:
-        return stack[-1][1]
-    return 0
-
-
-def _candidates(
-    residues: tuple[LocalType, ...],
-    stack: tuple,
-    decisions_allowed: Sequence[bool],
-) -> list[_Candidate]:
-    """Enabled steps, in a fixed deterministic order: the collective (if
-    any), then p2p pairs by sender rank, then decisions enter-first.
-
-    `decisions_allowed` filters which decision values may fire; p2p and
-    collective steps are policy-independent.
-    """
+def _successors(residues: Residues) -> list[tuple[Step, Residues]]:
+    """Every enabled step with the residues it leads to, in a fixed
+    deterministic order: the collective (if any), then p2p pairs by
+    sender rank, then the decision, enter before skip."""
     n = len(residues)
-    heads: list[Comm | str] = []  # a rank's head Comm, or done | loop | choice
-    for t in residues:
-        match t:
-            case End():
-                heads.append("done")
-            case Prefix(atom, _):
-                heads.append(comm_of(atom))
-            case Loop():
-                heads.append("loop")
-            case Choice():
-                heads.append("choice")
-            case _:
-                raise TypeError(f"not a type term: {t!r}")
-
-    out: list[_Candidate] = []
+    heads = [comm_of(t.atom) if isinstance(t, Prefix) else None for t in residues]
+    out: list[tuple[Step, Residues]] = []
 
     coll = heads[0]
     if isinstance(coll, Comm) and coll.kind in _COLLECTIVES and all(h == coll for h in heads):
-        out.append(_Candidate(coll, tuple(t.cont for t in residues), stack, False))
+        out.append((coll, tuple(t.cont for t in residues)))
 
     for sender, send in enumerate(heads):
         if not isinstance(send, Comm) or send.kind != "send":
@@ -248,23 +191,15 @@ def _candidates(
             new_residues = list(residues)
             new_residues[sender] = residues[sender].cont
             new_residues[receiver] = residues[receiver].cont
-            out.append(
-                _Candidate(
-                    P2PStep(sender, receiver, send.dtype, send.count),
-                    tuple(new_residues),
-                    stack,
-                    False,
-                )
-            )
+            out.append((P2PStep(sender, receiver, send.dtype, send.count), tuple(new_residues)))
 
-    if all(h == "loop" for h in heads):
+    if all(isinstance(t, Loop) for t in residues):
+        out.append((DecisionStep("loop", True), tuple(concat(t.body, t) for t in residues)))
+        out.append((DecisionStep("loop", False), tuple(t.cont for t in residues)))
+    elif all(isinstance(t, Choice) for t in residues):
         for enter in (True, False):
-            if decisions_allowed[0 if enter else 1]:
-                out.append(_advance_decision(residues, stack, "loop", enter))
-    elif all(h == "choice" for h in heads):
-        for enter in (True, False):
-            if decisions_allowed[0 if enter else 1]:
-                out.append(_advance_decision(residues, stack, "choice", enter))
+            branches = (concat(t.true_branch if enter else t.false_branch, t.cont) for t in residues)
+            out.append((DecisionStep("choice", enter), tuple(branches)))
 
     return out
 
@@ -279,33 +214,28 @@ class _LimitHit(Exception):
 
 
 def _explore(
-    residues0: tuple[LocalType, ...],
-    policy,  # ("tape", entries) or ("bounded", max_iters)
+    locals_: Sequence[LocalType],
+    ctl0,
+    decide: Callable[[Any, Residues, DecisionStep], Any],
     state_limit: int,
-    reverse_order: bool,
     por: bool,
 ) -> SimVerdict:
+    """Depth-first search memoized on (residues, control state).
+
+    Only decision steps consult the mode's policy: `decide(ctl,
+    residues, step)` returns the control state after the step, or None
+    when the policy forbids it.
+    """
+    if not locals_:
+        raise ValueError("ensemble must contain at least one rank")
+    if state_limit < 1:
+        raise ValueError(f"state_limit must be >= 1, got {state_limit}")
     memo: set = set()
     explored = 0
 
-    def decision_filter(residues, stack, consumed) -> tuple[bool, bool]:
-        # Which of (enter, skip) a decision step may take here.
-        if policy[0] == "tape":
-            entries = policy[1]
-            if consumed >= len(entries):
-                raise TapeExhausted(
-                    f"decision {consumed + 1} requested but the tape has"
-                    f" {len(entries)} entries"
-                )
-            forced = entries[consumed]
-            return (forced, not forced)
-        max_iters = policy[1]
-        entries_so_far = _loop_entries_so_far(stack, residues)
-        return (entries_so_far < max_iters, True)
-
-    def rec(residues, stack, consumed, trail) -> Deadlock | None:
+    def rec(residues, ctl, trail) -> Deadlock | None:
         nonlocal explored
-        key = (residues, stack, consumed)
+        key = (residues, ctl)
         if key in memo:
             return None
         explored += 1
@@ -315,44 +245,30 @@ def _explore(
             memo.add(key)
             return None
 
-        at_decision = all(isinstance(t, (Loop, Choice)) for t in residues) and (
-            all(isinstance(t, Loop) for t in residues)
-            or all(isinstance(t, Choice) for t in residues)
-        )
-        allowed = (True, True)
-        if at_decision:
-            allowed = decision_filter(residues, stack, consumed)
-        cands = _candidates(residues, stack, allowed)
+        succs = []
+        for step, nxt in _successors(residues):
+            nxt_ctl = decide(ctl, residues, step) if isinstance(step, DecisionStep) else ctl
+            if nxt_ctl is not None:
+                succs.append((step, nxt, nxt_ctl))
 
-        if not cands:
-            return Deadlock(
-                tuple(_describe_head(t) for t in residues),
-                trail,
-                SimState(residues, stack),
-            )
+        if not succs:
+            return Deadlock(tuple(_describe_head(t) for t in residues), trail, SimState(residues))
 
-        if por and any(isinstance(c.step, P2PStep) for c in cands):
+        if por and any(isinstance(step, P2PStep) for step, _, _ in succs):
             # Point-to-point steps touch disjoint rank pairs and stay
             # enabled until taken, so exploring one representative per
             # state preserves reachability of stuck states.
-            cands = [next(c for c in cands if isinstance(c.step, P2PStep))]
-        if reverse_order:
-            cands = list(reversed(cands))
+            succs = [next(s for s in succs if isinstance(s[0], P2PStep))]
 
-        for cand in cands:
-            found = rec(
-                cand.residues,
-                cand.stack,
-                consumed + 1 if cand.decided else consumed,
-                trail + (cand.step,),
-            )
+        for step, nxt, nxt_ctl in succs:
+            found = rec(nxt, nxt_ctl, trail + (step,))
             if found is not None:
                 return found
         memo.add(key)
         return None
 
     try:
-        deadlock = rec(residues0, (), 0, ())
+        deadlock = rec(tuple(locals_), ctl0, ())
     except _LimitHit:
         return StateSpaceExceeded(state_limit, explored)
     if deadlock is not None:
@@ -365,20 +281,22 @@ def simulate(
     tape: DecisionTape | Sequence[bool],
     *,
     state_limit: int = DEFAULT_STATE_LIMIT,
-    reverse_order: bool = False,
     por: bool = False,
 ) -> SimVerdict:
     """Explore all interleavings under one fixed decision tape.
 
     Collective decisions are serialized ensemble-wide, so at any state
     the number of decisions already taken is well-defined and the tape
-    dictates the next one. Raises TapeExhausted if the tape runs dry at
-    a decision point reachable before every rank finishes.
+    dictates the next one. That number is the search's control state.
+    Raises TapeExhausted if the tape runs dry at a decision point
+    reachable before every rank finishes.
     """
     entries = tape.entries if isinstance(tape, DecisionTape) else tuple(bool(b) for b in tape)
-    if not locals_:
-        raise ValueError("ensemble must contain at least one rank")
-    return _explore(tuple(locals_), ("tape", entries), state_limit, reverse_order, por)
+
+    def follow_tape(taken: int, residues, step: DecisionStep) -> int | None:
+        return taken + 1 if _tape_entry(entries, taken) == step.enter else None
+
+    return _explore(locals_, 0, follow_tape, state_limit, por)
 
 
 def explore_all_tapes(
@@ -386,17 +304,31 @@ def explore_all_tapes(
     max_loop_iters: int,
     *,
     state_limit: int = DEFAULT_STATE_LIMIT,
-    reverse_order: bool = False,
     por: bool = False,
 ) -> SimVerdict:
     """Explore all interleavings under every decision tape, with each
     loop entered at most `max_loop_iters` consecutive times. A bound of
-    0 never enters a loop, so loop bodies are not searched."""
-    if not locals_:
-        raise ValueError("ensemble must contain at least one rank")
+    0 never enters a loop, so loop bodies are not searched; both
+    branches of every choice are searched at any bound.
+
+    The control state is the stack of active loops, each with the
+    ensemble's loop nodes and its consecutive entries so far.
+    """
     if max_loop_iters < 0:
         raise ValueError(f"max_loop_iters must be >= 0, got {max_loop_iters}")
-    return _explore(tuple(locals_), ("bounded", max_loop_iters), state_limit, reverse_order, por)
+
+    def bound_loops(stack: tuple, residues, step: DecisionStep) -> tuple | None:
+        if step.kind == "choice":
+            return stack
+        entries = stack[-1][1] if stack and stack[-1][0] == residues else 0
+        outer = stack[:-1] if entries else stack
+        if not step.enter:
+            return outer
+        if entries >= max_loop_iters:
+            return None
+        return outer + ((residues, entries + 1),)
+
+    return _explore(locals_, (), bound_loops, state_limit, por)
 
 
 # ---------------------------------------------------------------------------
@@ -411,14 +343,11 @@ def replay(locals_: Sequence[LocalType], trail: Sequence[Step]) -> SimState:
     means the trail does not belong to these local types.
     """
     residues = tuple(locals_)
-    stack: tuple = ()
     for i, wanted in enumerate(trail):
-        cands = _candidates(residues, stack, (True, True))
-        hit = next((c for c in cands if c.step == wanted), None)
-        if hit is None:
+        residues = next((nxt for step, nxt in _successors(residues) if step == wanted), None)
+        if residues is None:
             raise ValueError(f"witness step {i + 1} ({wanted!r}) is not enabled")
-        residues, stack = hit.residues, hit.stack
-    return SimState(residues, stack)
+    return SimState(residues)
 
 
 def format_trail(trail: Sequence[Step]) -> str:

@@ -182,7 +182,7 @@ def test_simulate_protocol_all_done(ring, capsys):
         capsys, "simulate", str(ring / "ring.cty"), "--param", "size=9"
     )
     assert code == EXIT_OK
-    assert out.startswith("verdict: all-done (27 states explored)")
+    assert out.startswith("verdict: all-done (21 states explored)")
 
 
 def test_simulate_local_views(tmp_path, capsys):
@@ -236,6 +236,27 @@ def test_simulate_rejects_a_negative_loop_bound(tmp_path, capsys):
     code, out, _ = run(capsys, "simulate", *views, "--max-loop-iters", "1")
     assert code == EXIT_FAIL
     assert "verdict: deadlock" in out
+
+
+def test_simulate_searches_both_choice_branches_at_loop_bound_zero(tmp_path, capsys):
+    (tmp_path / "a.clt").write_text("choice(send(1,MPI_INT,1).end,end).end\n")
+    (tmp_path / "b.clt").write_text("choice(send(0,MPI_INT,1).end,end).end\n")
+    views = [str(tmp_path / "a.clt"), str(tmp_path / "b.clt")]
+    code, out, _ = run(capsys, "simulate", *views, "--max-loop-iters", "0")
+    assert code == EXIT_FAIL
+    assert "verdict: deadlock" in out
+    assert "  decision choice enter" in out.splitlines()
+
+
+@pytest.mark.parametrize("limit", ["0", "-1"])
+def test_simulate_rejects_a_state_limit_below_one(tmp_path, capsys, limit):
+    (tmp_path / "a.clt").write_text("send(1,MPI_INT,1).end\n")
+    (tmp_path / "b.clt").write_text("receive(0,MPI_INT,1).end\n")
+    views = [str(tmp_path / "a.clt"), str(tmp_path / "b.clt")]
+    code, out, err = run(capsys, "simulate", *views, "--state-limit", limit)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.splitlines()[-1].endswith(f"--state-limit: N must be >= 1, got {limit}")
 
 
 def test_simulate_state_limit(ring, capsys):

@@ -24,7 +24,7 @@ from commcheck.sim import (
     simulate,
     trace_to_term,
 )
-from commcheck.terms import Comm, DataKind, End, ReduceOp
+from commcheck.terms import Comm, DataKind, End, ReduceOp, concat
 from commcheck.typestate import FinalizeAction
 
 from proto_gen import random_protocol
@@ -223,7 +223,7 @@ def test_explore_all_tapes_on_ring(fdiff_protocol_text):
     views = list(project_all(proto, {"size": 9}))
     verdict = explore_all_tapes(views, 2)
     assert isinstance(verdict, AllDone)
-    assert verdict.states_explored == 27
+    assert verdict.states_explored == 21
 
 
 def test_explore_all_tapes_finds_branch_deadlock():
@@ -231,9 +231,11 @@ def test_explore_all_tapes_finds_branch_deadlock():
         "choice(send(1,MPI_INT,1).end,end).end",
         "choice(send(0,MPI_INT,1).end,end).end",
     ]
-    verdict = explore_all_tapes(ensemble(*texts), 2)
-    assert isinstance(verdict, Deadlock)
-    assert verdict.trail == (DecisionStep("choice", True),)
+    # the bound caps loop entries only, so 0 still searches both branches
+    for bound in (0, 2):
+        verdict = explore_all_tapes(ensemble(*texts), bound)
+        assert isinstance(verdict, Deadlock)
+        assert verdict.trail == (DecisionStep("choice", True),)
 
 
 def test_explore_all_tapes_bounds_loop_unfolding():
@@ -257,6 +259,15 @@ def test_state_limit_yields_exceeded_not_a_lie():
     assert isinstance(verdict, StateSpaceExceeded)
     assert verdict.limit == 2
     assert verdict.states_explored >= 2
+
+
+@pytest.mark.parametrize("limit", [0, -1])
+def test_a_state_limit_below_one_is_rejected(limit):
+    views = ensemble("send(1,MPI_INT,1).end", "receive(0,MPI_INT,1).end")
+    with pytest.raises(ValueError):
+        simulate(views, [], state_limit=limit)
+    with pytest.raises(ValueError):
+        explore_all_tapes(views, 2, state_limit=limit)
 
 
 def test_verdicts_are_three_distinct_types():
@@ -330,14 +341,23 @@ def test_witness_from_flat_ring_names_every_rank_blocked(
 # -- exploration-order and reduction soundness --------------------------------------
 
 
-def test_reverse_order_gives_the_same_verdict_kind():
+def test_loop_bound_keeps_the_verdict_kind_and_every_witness_replays():
+    # Each ensemble runs as generated and with a send cycle planted
+    # after every rank's view.
     rng = random.Random(505)
-    for _ in range(60):
+    for _ in range(200):
         proto, env = random_protocol(rng)
         views = list(project_all(proto, env))
-        a = explore_all_tapes(views, 2)
-        b = explore_all_tapes(views, 2, reverse_order=True)
-        assert type(a) is type(b), (proto, env)
+        n = len(views)
+        planted = [concat(v, lt(f"send({(r + 1) % n},MPI_INT,1).end")) for r, v in enumerate(views)]
+        for ens in (views, planted):
+            verdicts = [explore_all_tapes(ens, bound) for bound in (1, 2, 4)]
+            assert len({type(v) for v in verdicts}) == 1, (proto, env)
+            counts = [v.states_explored for v in verdicts if isinstance(v, AllDone)]
+            assert counts == sorted(counts), (proto, env)
+            for v in verdicts:
+                if isinstance(v, Deadlock):
+                    assert replay(ens, v.trail) == v.state, (proto, env)
 
 
 def test_por_gives_the_same_verdict_kind():
