@@ -2,7 +2,8 @@
 
 Checking walks the program once per rank with `me` bound to that rank,
 evaluating every guard and expression concretely, and steps the rank's
-projected local type through each communication statement. The walk for
+projected local type through each communication statement, read as the
+`Comm` it performs (its length evaluated first). The walk for
 a rank stops at its first defect; defects are reported as positioned
 diagnostics, never exceptions. Erasure walks the same way but instead
 of checking it records the sequence of communication actions a rank
@@ -16,23 +17,18 @@ from dataclasses import dataclass, field
 
 from .exprs import Env, ExprError, Pos, eval_expr, eval_pred
 from .program import (
-    AllreduceStmt,
-    BcastStmt,
     BufferDecl,
     CollChoice,
     CollLoop,
     CommRank,
     CommSize,
+    CommStmt,
     Compute,
     Finalize,
-    GatherStmt,
     Init,
     Let,
     Program,
     RankIf,
-    RecvStmt,
-    ScatterStmt,
-    SendStmt,
     Stmt,
 )
 from .projection import project
@@ -185,25 +181,12 @@ def _eval(e, state: _RankState, pos: Pos | None) -> int:
         raise AssertionError  # unreachable
 
 
-_STMT_KINDS = {
-    SendStmt: "send",
-    RecvStmt: "receive",
-    ScatterStmt: "scatter",
-    GatherStmt: "gather",
-    BcastStmt: "bcast",
-}
-
-
-def _stmt_comm(stmt, elem: DataKind, value) -> Comm:
+def _stmt_comm(stmt: CommStmt, elem: DataKind, value) -> Comm:
     """The communication `stmt` performs on a buffer of `elem` elements,
     with `value` evaluating its length, then its peer or root."""
     count = value(stmt.length)
-    match stmt:
-        case AllreduceStmt(_, _, op):
-            return Comm("allreduce", None, elem, count, op)
-        case SendStmt(who) | RecvStmt(who) | ScatterStmt(who) | GatherStmt(who) | BcastStmt(who):
-            return Comm(_STMT_KINDS[type(stmt)], value(who), elem, count)
-    raise TypeError(f"not a communication statement: {stmt!r}")
+    who = None if stmt.who is None else value(stmt.who)
+    return Comm(stmt.kind, who, elem, count, stmt.op)
 
 
 def _walk_stmt(stmt: Stmt, t, state: _RankState):
@@ -221,7 +204,7 @@ def _walk_stmt(stmt: Stmt, t, state: _RankState):
                 )
             state.buffers[name] = BufferFacts(elem, size)
             return t
-        case SendStmt() | RecvStmt() | ScatterStmt() | GatherStmt() | BcastStmt() | AllreduceStmt():
+        case CommStmt():
             buf = state.buffers.get(stmt.buf)
             if buf is None:
                 state.fail("unknown-buffer", f"no buffer named '{stmt.buf}'", stmt.pos)
@@ -315,7 +298,7 @@ def _erase(stmts, scope: Env, buffers, tape: DecisionTape, out: list[Action]) ->
                 scope[name] = eval_expr(value, scope)
             case BufferDecl(name, elem, _):
                 buffers[name] = elem
-            case SendStmt() | RecvStmt() | ScatterStmt() | GatherStmt() | BcastStmt() | AllreduceStmt():
+            case CommStmt():
                 out.append(_stmt_comm(stmt, buffers[stmt.buf], lambda e: eval_expr(e, scope)))
             case RankIf(guard, then_body, else_body):
                 _erase(then_body if eval_pred(guard, scope) else else_body, scope, buffers, tape, out)

@@ -6,9 +6,10 @@ per-rank local views), `verify` (check a program against a protocol),
 and `simulate` (exhaustive deadlock search over local views).
 
 Exit codes: 0 on success, 1 when verification or simulation finds a
-defect (including an exceeded state budget, which is reported as its
-own verdict), 2 on usage or I/O errors such as an unreadable file or a
-missing parameter value.
+defect (including a syntax error and an exceeded state budget, which is
+reported as its own verdict), 2 on usage or I/O errors such as an
+unreadable file or a missing parameter value, and on internal errors,
+which print one `error: internal error: ...` line instead of a traceback.
 
 Human-readable diagnostics go to stderr. With --report, one
 machine-readable line per diagnostic goes to stdout in the form
@@ -39,7 +40,7 @@ from .sim import (
     format_trail,
 )
 from .terms import Protocol, ground_term
-from .wf import WfDiagnostic, check_wf
+from .wf import check_wf
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -48,6 +49,10 @@ EXIT_USAGE = 2
 
 class _UsageError(Exception):
     pass
+
+
+class _Failed(Exception):
+    """The input has a defect, already reported on stderr."""
 
 
 def _fmt_pos(pos) -> str:
@@ -92,8 +97,13 @@ def _int_value(name: str, value: str) -> int:
         raise _UsageError(f"parameter '{name}' needs an integer value, got '{value}'") from None
 
 
-def _load_protocol(path: str) -> Protocol:
-    return parse_protocol(_read_text(path))
+def _parse(path: str, parse):
+    """`parse` applied to the text of `path`; a syntax error is a defect."""
+    try:
+        return parse(_read_text(path))
+    except ParseError as err:
+        print(f"{path}: syntax error: {err}", file=sys.stderr)
+        raise _Failed from None
 
 
 def _require_params(protocol: Protocol, inst: Env) -> None:
@@ -106,11 +116,15 @@ def _require_params(protocol: Protocol, inst: Env) -> None:
         )
 
 
-def _emit_wf(diags: list[WfDiagnostic], filename: str, report: bool) -> None:
-    for d in diags:
-        print(d.render(filename), file=sys.stderr)
+def _require_wf(protocol: Protocol, inst: Env, path: str, report: bool) -> None:
+    """Report the protocol's well-formedness diagnostics; any is a defect."""
+    wf = check_wf(protocol, inst)
+    for d in wf.diagnostics:
+        print(d.render(path), file=sys.stderr)
         if report:
             print(_report_line(None, d))
+    if not wf.ok:
+        raise _Failed
 
 
 def _emit_check(diags: list[CheckDiagnostic], filename: str, report: bool) -> None:
@@ -126,33 +140,19 @@ def _emit_check(diags: list[CheckDiagnostic], filename: str, report: bool) -> No
 
 
 def _cmd_validate(args) -> int:
-    try:
-        protocol = _load_protocol(args.protocol)
-    except ParseError as err:
-        print(f"{args.protocol}: syntax error: {err}", file=sys.stderr)
-        return EXIT_FAIL
+    protocol = _parse(args.protocol, parse_protocol)
     inst = _parse_params(args.param, args.manifest)
     _require_params(protocol, inst)
-    wf = check_wf(protocol, inst)
-    _emit_wf(wf.diagnostics, args.protocol, args.report)
-    if wf.ok:
-        print(f"{args.protocol}: well-formed for {protocol.num_procs} processes")
-        return EXIT_OK
-    return EXIT_FAIL
+    _require_wf(protocol, inst, args.protocol, args.report)
+    print(f"{args.protocol}: well-formed for {protocol.num_procs} processes")
+    return EXIT_OK
 
 
 def _cmd_project(args) -> int:
-    try:
-        protocol = _load_protocol(args.protocol)
-    except ParseError as err:
-        print(f"{args.protocol}: syntax error: {err}", file=sys.stderr)
-        return EXIT_FAIL
+    protocol = _parse(args.protocol, parse_protocol)
     inst = _parse_params(args.param, args.manifest)
     _require_params(protocol, inst)
-    wf = check_wf(protocol, inst)
-    if not wf.ok:
-        _emit_wf(wf.diagnostics, args.protocol, args.report)
-        return EXIT_FAIL
+    _require_wf(protocol, inst, args.protocol, args.report)
     out_dir = Path(args.out)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -167,16 +167,8 @@ def _cmd_project(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    try:
-        protocol = _load_protocol(args.protocol)
-    except ParseError as err:
-        print(f"{args.protocol}: syntax error: {err}", file=sys.stderr)
-        return EXIT_FAIL
-    try:
-        prog = parse_program(_read_text(args.program))
-    except ParseError as err:
-        print(f"{args.program}: syntax error: {err}", file=sys.stderr)
-        return EXIT_FAIL
+    protocol = _parse(args.protocol, parse_protocol)
+    prog = _parse(args.program, parse_program)
     inst = _parse_params(args.param, args.manifest)
     _require_params(protocol, inst)
     missing = [name for name in prog.params if name not in inst]
@@ -184,10 +176,8 @@ def _cmd_verify(args) -> int:
         raise _UsageError(
             "missing value(s) for program parameter(s): " + ", ".join(missing)
         )
-    wf = check_wf(protocol, {b.name: inst[b.name] for b in protocol.params})
-    if not wf.ok:
-        _emit_wf(wf.diagnostics, args.protocol, args.report)
-        return EXIT_FAIL
+    binder_inst = {b.name: inst[b.name] for b in protocol.params}
+    _require_wf(protocol, binder_inst, args.protocol, args.report)
     result = check_compliance(prog, protocol, inst)
     _emit_check(result.all_diagnostics(), args.program, args.report)
     if result.compliant:
@@ -225,25 +215,14 @@ def _cmd_simulate(args) -> int:
     inst = _parse_params(args.param, args.manifest)
     paths = list(args.files)
     if len(paths) == 1 and paths[0].endswith(".cty"):
-        try:
-            protocol = _load_protocol(paths[0])
-        except ParseError as err:
-            print(f"{paths[0]}: syntax error: {err}", file=sys.stderr)
-            return EXIT_FAIL
+        protocol = _parse(paths[0], parse_protocol)
         _require_params(protocol, inst)
-        wf = check_wf(protocol, inst)
-        if not wf.ok:
-            _emit_wf(wf.diagnostics, paths[0], args.report)
-            return EXIT_FAIL
+        _require_wf(protocol, inst, paths[0], args.report)
         views = list(project_all(protocol, inst).by_rank)
     else:
         views = []
         for path in paths:
-            try:
-                term = parse_local_term(_read_text(path))
-            except ParseError as err:
-                print(f"{path}: syntax error: {err}", file=sys.stderr)
-                return EXIT_FAIL
+            term = _parse(path, parse_local_term)
             try:
                 term = ground_term(term, inst)
             except ExprError as err:
@@ -359,11 +338,15 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except _UsageError as err:
+    except _Failed:
+        return EXIT_FAIL
+    except (_UsageError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
+    except Exception as err:
+        # Exit 1 means a defect was found; a fault of the program must
+        # not read as one.
+        print(f"error: internal error: {type(err).__name__}: {err}", file=sys.stderr)
         return EXIT_USAGE
 
 

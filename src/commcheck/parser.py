@@ -10,6 +10,8 @@ from exhausting the interpreter stack.
 
 from __future__ import annotations
 
+from typing import get_args
+
 from .exprs import (
     ArrayKind,
     BinOp,
@@ -31,59 +33,40 @@ from .exprs import (
 )
 from .lexer import ParseError, Token, tokenize
 from .terms import (
-    Allreduce,
+    ATOM_FIELDS,
+    ATOM_NAMES,
     Atom,
-    Bcast,
     Choice,
     DataKind,
     End,
-    Gather,
+    GlobalAtom,
     GlobalType,
+    LocalAtom,
     LocalType,
     Loop,
-    Message,
     ParamBinder,
     Prefix,
     Protocol,
-    Receive,
     ReduceOp,
-    Scatter,
-    Send,
     TypeTerm,
 )
 
 _MAX_DEPTH = 200
 
-_KEYWORDS = frozenset(
-    {
-        "Pi",
-        "nprocs",
-        "end",
-        "loop",
-        "choice",
-        "message",
-        "send",
-        "receive",
-        "scatter",
-        "gather",
-        "bcast",
-        "allreduce",
-        "int",
-        "nat",
-        "float",
-        "MPI_INT",
-        "MPI_FLOAT",
-        "MPI_MAX",
-        "MPI_MIN",
-        "MPI_SUM",
-    }
-)
-
-_GLOBAL_ATOMS = ("message", "scatter", "gather", "bcast", "allreduce")
-_LOCAL_ATOMS = ("send", "receive", "scatter", "gather", "bcast", "allreduce")
-
 _DTYPES = {k.value: k for k in DataKind}
 _REDUCE_OPS = {o.value: o for o in ReduceOp}
+
+_KEYWORDS = frozenset(
+    {"Pi", "nprocs", "end", "loop", "choice", "int", "nat", "float"}
+    | set(ATOM_NAMES.values())
+    | set(_DTYPES)
+    | set(_REDUCE_OPS)
+)
+
+# The atoms each side may write, by name, in the order of their union.
+_GLOBAL_ATOMS = {ATOM_NAMES[cls]: cls for cls in get_args(GlobalAtom)}
+_LOCAL_ATOMS = {ATOM_NAMES[cls]: cls for cls in get_args(LocalAtom)}
+
 _CMP_OPS = ("==", "!=", "<=", ">=", "<", ">")
 
 
@@ -383,42 +366,20 @@ class _ProtocolParser(BaseParser):
         if tok.kind != "ident" or tok.text not in names:
             self.fail("'end'", "'loop'", "'choice'", *(f"'{n}'" for n in names))
         self.bump()
+        cls = names[tok.text]
         self.expect_punct("(")
-        atom: Atom
-        if tok.text == "message":
-            src = self.parse_expr()
-            self.expect_punct(",")
-            dst = self.parse_expr()
-            self.expect_punct(",")
-            dtype = self._dtype()
-            self.expect_punct(",")
-            length = self.parse_expr()
-            atom = Message(src, dst, dtype, length, pos=tok.pos)
-        elif tok.text in ("send", "receive"):
-            peer = self.parse_expr()
-            self.expect_punct(",")
-            dtype = self._dtype()
-            self.expect_punct(",")
-            length = self.parse_expr()
-            cls = Send if tok.text == "send" else Receive
-            atom = cls(peer, dtype, length, pos=tok.pos)
-        elif tok.text in ("scatter", "gather", "bcast"):
-            root = self.parse_expr()
-            self.expect_punct(",")
-            dtype = self._dtype()
-            self.expect_punct(",")
-            length = self.parse_expr()
-            cls = {"scatter": Scatter, "gather": Gather, "bcast": Bcast}[tok.text]
-            atom = cls(root, dtype, length, pos=tok.pos)
-        else:  # allreduce
-            dtype = self._dtype()
-            self.expect_punct(",")
-            length = self.parse_expr()
-            self.expect_punct(",")
-            op = self._reduce_op()
-            atom = Allreduce(dtype, length, op, pos=tok.pos)
+        args = []
+        for i, name in enumerate(ATOM_FIELDS[cls]):
+            if i:
+                self.expect_punct(",")
+            if name == "dtype":
+                args.append(self._dtype())
+            elif name == "op":
+                args.append(self._reduce_op())
+            else:
+                args.append(self.parse_expr())
         self.expect_punct(")")
-        return atom
+        return cls(*args, pos=tok.pos)
 
     def _dtype(self) -> DataKind:
         tok = self.peek()

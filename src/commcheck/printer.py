@@ -25,20 +25,16 @@ from .exprs import (
     Var,
 )
 from .terms import (
-    Allreduce,
+    ATOM_NAMES,
+    LABELS,
     Atom,
-    Bcast,
     Choice,
     End,
-    Gather,
     Loop,
-    Message,
     Prefix,
     Protocol,
-    Receive,
-    Scatter,
-    Send,
     TypeTerm,
+    atom_args,
 )
 
 _EXPR_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "%": 2}
@@ -119,22 +115,8 @@ def format_kind(k: Kind) -> str:
 
 
 def format_atom(a: Atom) -> str:
-    match a:
-        case Message(src, dst, dtype, length):
-            return f"message({format_expr(src)},{format_expr(dst)},{dtype.value},{format_expr(length)})"
-        case Send(peer, dtype, length):
-            return f"send({format_expr(peer)},{dtype.value},{format_expr(length)})"
-        case Receive(peer, dtype, length):
-            return f"receive({format_expr(peer)},{dtype.value},{format_expr(length)})"
-        case Scatter(root, dtype, length):
-            return f"scatter({format_expr(root)},{dtype.value},{format_expr(length)})"
-        case Gather(root, dtype, length):
-            return f"gather({format_expr(root)},{dtype.value},{format_expr(length)})"
-        case Bcast(root, dtype, length):
-            return f"bcast({format_expr(root)},{dtype.value},{format_expr(length)})"
-        case Allreduce(dtype, length, op):
-            return f"allreduce({dtype.value},{format_expr(length)},{op.value})"
-    raise TypeError(f"not an atom: {a!r}")
+    args = [x.value if isinstance(x, LABELS) else format_expr(x) for x in atom_args(a)]
+    return f"{ATOM_NAMES[type(a)]}({','.join(args)})"
 
 
 def format_term(t: TypeTerm, indent: int = 0) -> str:

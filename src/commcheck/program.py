@@ -1,7 +1,9 @@
 """SPMD program model: a small imperative language with explicit buffers.
 
 One program text runs on every rank. Communication statements name a
-declared buffer; collective loops and choices are written as explicit
+declared buffer. All six are one `CommStmt`, which mirrors `Comm`: its
+kind, the peer or root, the buffer, the length and, for an allreduce,
+the reduce op. Collective loops and choices are written as explicit
 blocks (`collloop`, `collchoice`) because their decisions are taken by
 all ranks together, while `rankif` branches on rank-locally computable
 guards. The identifiers `me` and `np` are predefined (own rank and
@@ -24,6 +26,17 @@ from .terms import DataKind, ReduceOp
 
 RESERVED_NAMES = frozenset({"me", "np"})
 
+# Each communication statement's word, with its `CommStmt` kind and the
+# key of its peer or root (None for an allreduce, which has neither).
+_COMM_WORDS = {
+    "send": ("send", "peer"),
+    "recv": ("receive", "peer"),
+    "scatter": ("scatter", "root"),
+    "gather": ("gather", "root"),
+    "bcast": ("bcast", "root"),
+    "allreduce": ("allreduce", None),
+}
+
 _STMT_KEYWORDS = frozenset(
     {
         "param",
@@ -34,12 +47,7 @@ _STMT_KEYWORDS = frozenset(
         "commrank",
         "compute",
         "finalize",
-        "send",
-        "recv",
-        "scatter",
-        "gather",
-        "bcast",
-        "allreduce",
+        *_COMM_WORDS,
         "collloop",
         "collchoice",
         "rankif",
@@ -101,50 +109,20 @@ class BufferDecl:
 
 
 @dataclass(frozen=True)
-class SendStmt:
-    peer: Expr
+class CommStmt:
+    """A communication statement; it mirrors `Comm`, with the buffer's
+    name in place of the data kind and expressions in place of values.
+
+    `who` is the peer of a send or receive, the root of a scatter,
+    gather or bcast, and None for an allreduce; `op` is set only for an
+    allreduce.
+    """
+
+    kind: str  # send | receive | scatter | gather | bcast | allreduce
+    who: Expr | None
     buf: str
     length: Expr
-    pos: Pos | None = field(default=None, compare=False, repr=False)
-
-
-@dataclass(frozen=True)
-class RecvStmt:
-    peer: Expr
-    buf: str
-    length: Expr
-    pos: Pos | None = field(default=None, compare=False, repr=False)
-
-
-@dataclass(frozen=True)
-class ScatterStmt:
-    root: Expr
-    buf: str
-    length: Expr
-    pos: Pos | None = field(default=None, compare=False, repr=False)
-
-
-@dataclass(frozen=True)
-class GatherStmt:
-    root: Expr
-    buf: str
-    length: Expr
-    pos: Pos | None = field(default=None, compare=False, repr=False)
-
-
-@dataclass(frozen=True)
-class BcastStmt:
-    root: Expr
-    buf: str
-    length: Expr
-    pos: Pos | None = field(default=None, compare=False, repr=False)
-
-
-@dataclass(frozen=True)
-class AllreduceStmt:
-    buf: str
-    length: Expr
-    op: ReduceOp
+    op: ReduceOp | None = None
     pos: Pos | None = field(default=None, compare=False, repr=False)
 
 
@@ -179,12 +157,7 @@ Stmt = Union[
     Finalize,
     Let,
     BufferDecl,
-    SendStmt,
-    RecvStmt,
-    ScatterStmt,
-    GatherStmt,
-    BcastStmt,
-    AllreduceStmt,
+    CommStmt,
     CollLoop,
     CollChoice,
     RankIf,
@@ -279,23 +252,13 @@ class _ProgramParser(BaseParser):
             capacity = self.parse_expr()
             self.expect_punct("]")
             return BufferDecl(name, _BUFFER_KINDS[kind_tok.text], capacity, pos=tok.pos)
-        if word in ("send", "recv"):
-            peer = self._kv_expr("peer")
+        if word in _COMM_WORDS:
+            kind, who_key = _COMM_WORDS[word]
+            who = self._kv_expr(who_key) if who_key else None
             buf = self._kv_name("buf")
             length = self._kv_expr("len")
-            cls = SendStmt if word == "send" else RecvStmt
-            return cls(peer, buf, length, pos=tok.pos)
-        if word in ("scatter", "gather", "bcast"):
-            root = self._kv_expr("root")
-            buf = self._kv_name("buf")
-            length = self._kv_expr("len")
-            cls = {"scatter": ScatterStmt, "gather": GatherStmt, "bcast": BcastStmt}[word]
-            return cls(root, buf, length, pos=tok.pos)
-        if word == "allreduce":
-            buf = self._kv_name("buf")
-            length = self._kv_expr("len")
-            op = self._kv_op()
-            return AllreduceStmt(buf, length, op, pos=tok.pos)
+            op = self._kv_op() if kind == "allreduce" else None
+            return CommStmt(kind, who, buf, length, op, pos=tok.pos)
         if word == "collloop":
             return CollLoop(self.block(), pos=tok.pos)
         if word == "collchoice":

@@ -238,9 +238,9 @@ def _explore(
         key = (residues, ctl)
         if key in memo:
             return None
-        explored += 1
-        if explored > state_limit:
+        if explored == state_limit:
             raise _LimitHit
+        explored += 1
         if all(isinstance(t, End) for t in residues):
             memo.add(key)
             return None

@@ -6,6 +6,9 @@ A global type speaks of messages between two ranks, a local type of
 sends and receives as seen by one rank. Collective atoms occur on both
 sides unchanged. Nodes are frozen dataclasses, so equality and hashing
 are structural; source positions never take part in comparisons.
+An atom is written as its name in `ATOM_NAMES` followed by its fields
+other than `pos`, in declaration order (`atom_args`); the parser, the
+printer and grounding all work from that one description.
 A ground local atom denotes a `Comm`, the one record of a concrete
 communication; `comm_of` and `atom_of` convert between the two.
 """
@@ -13,10 +16,11 @@ communication; `comm_of` and `atom_of` convert between the two.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from operator import attrgetter
 from typing import Iterator, NamedTuple, Union
 
-from .exprs import Env, Expr, ExprError, Kind, Lit, Pos, eval_expr
+from .exprs import Env, Expr, ExprError, Kind, Lit, Pos, eval_expr, expr_vars
 
 
 class DataKind(enum.Enum):
@@ -118,15 +122,38 @@ class Comm(NamedTuple):
     op: ReduceOp | None = None
 
 
-# The local atoms whose first field is the peer or root, by Comm kind.
-_LOCAL_ATOMS = {
-    "send": Send,
-    "receive": Receive,
-    "scatter": Scatter,
-    "gather": Gather,
-    "bcast": Bcast,
+ATOM_NAMES = {
+    Message: "message",
+    Send: "send",
+    Receive: "receive",
+    Scatter: "scatter",
+    Gather: "gather",
+    Bcast: "bcast",
+    Allreduce: "allreduce",
 }
-_KIND_OF = {cls: kind for kind, cls in _LOCAL_ATOMS.items()}
+"""The written name of each atom class, which is also the `Comm` kind of
+a local atom."""
+
+ATOM_FIELDS = {cls: tuple(f.name for f in fields(cls) if f.name != "pos") for cls in ATOM_NAMES}
+"""The argument fields of each atom class, in written order."""
+
+# Built once: the printer, grounding and the search read an atom's
+# arguments per atom, and `fields()` is too slow to call there.
+_ARGS = {cls: attrgetter(*names) for cls, names in ATOM_FIELDS.items()}
+_CLASS_OF = {name: cls for cls, name in ATOM_NAMES.items()}
+
+# Arguments of these types are labels, written as their value; every
+# other argument is an expression.
+LABELS = (DataKind, ReduceOp)
+
+
+def atom_args(a: Atom) -> tuple:
+    """The arguments of `a` as written: its fields other than `pos`, in order."""
+    try:
+        get = _ARGS[type(a)]
+    except KeyError:
+        raise TypeError(f"not an atom: {a!r}") from None
+    return get(a)
 
 
 def comm_of(a: LocalAtom) -> Comm:
@@ -135,28 +162,23 @@ def comm_of(a: LocalAtom) -> Comm:
     Raises ValueError when a peer, root or length is not yet a value:
     project the protocol or `ground_term` the local type first.
     """
+    kind = ATOM_NAMES.get(type(a))
+    if kind is None or kind == "message":
+        raise TypeError(f"not a local atom: {a!r}")
     try:
-        match a:
-            case Allreduce(dtype, length, op):
-                return Comm("allreduce", None, dtype, eval_expr(length, {}), op)
-            case (
-                Send(who, dtype, length)
-                | Receive(who, dtype, length)
-                | Scatter(who, dtype, length)
-                | Gather(who, dtype, length)
-                | Bcast(who, dtype, length)
-            ):
-                return Comm(_KIND_OF[type(a)], eval_expr(who, {}), dtype, eval_expr(length, {}))
+        if kind == "allreduce":
+            return Comm(kind, None, a.dtype, eval_expr(a.length, {}), a.op)
+        who, dtype, length = atom_args(a)
+        return Comm(kind, eval_expr(who, {}), dtype, eval_expr(length, {}))
     except ExprError:
         raise ValueError("local atom is not ground; project or ground_term it first") from None
-    raise TypeError(f"not a local atom: {a!r}")
 
 
 def atom_of(c: Comm) -> LocalAtom:
     """The ground local atom performing `c`; inverse of `comm_of`."""
     if c.kind == "allreduce":
         return Allreduce(c.dtype, Lit(c.count), c.op)
-    return _LOCAL_ATOMS[c.kind](Lit(c.peer), c.dtype, Lit(c.count))
+    return _CLASS_OF[c.kind](Lit(c.peer), c.dtype, Lit(c.count))
 
 
 # ---------------------------------------------------------------------------
@@ -264,29 +286,9 @@ def concat(t: TypeTerm, rest: TypeTerm) -> TypeTerm:
 
 
 def ground_atom(a: Atom, env: Env) -> Atom:
-    """Evaluate every expression field of `a` to a literal."""
-    match a:
-        case Message(src, dst, dtype, length):
-            return Message(
-                Lit(eval_expr(src, env)),
-                Lit(eval_expr(dst, env)),
-                dtype,
-                Lit(eval_expr(length, env)),
-                pos=a.pos,
-            )
-        case Send(peer, dtype, length):
-            return Send(Lit(eval_expr(peer, env)), dtype, Lit(eval_expr(length, env)), pos=a.pos)
-        case Receive(peer, dtype, length):
-            return Receive(Lit(eval_expr(peer, env)), dtype, Lit(eval_expr(length, env)), pos=a.pos)
-        case Scatter(root, dtype, length):
-            return Scatter(Lit(eval_expr(root, env)), dtype, Lit(eval_expr(length, env)), pos=a.pos)
-        case Gather(root, dtype, length):
-            return Gather(Lit(eval_expr(root, env)), dtype, Lit(eval_expr(length, env)), pos=a.pos)
-        case Bcast(root, dtype, length):
-            return Bcast(Lit(eval_expr(root, env)), dtype, Lit(eval_expr(length, env)), pos=a.pos)
-        case Allreduce(dtype, length, op):
-            return Allreduce(dtype, Lit(eval_expr(length, env)), op, pos=a.pos)
-    raise TypeError(f"not an atom: {a!r}")
+    """Evaluate every expression argument of `a` to a literal."""
+    args = [x if isinstance(x, LABELS) else Lit(eval_expr(x, env)) for x in atom_args(a)]
+    return type(a)(*args, pos=a.pos)
 
 
 def ground_term(t: TypeTerm, env: Env) -> TypeTerm:
@@ -304,20 +306,6 @@ def ground_term(t: TypeTerm, env: Env) -> TypeTerm:
 
 
 def is_ground(t: TypeTerm) -> bool:
-    from .exprs import expr_vars
-
-    for a in atoms_of(t):
-        match a:
-            case Message(src, dst, _, length):
-                if expr_vars(src) or expr_vars(dst) or expr_vars(length):
-                    return False
-            case Send(peer, _, length) | Receive(peer, _, length):
-                if expr_vars(peer) or expr_vars(length):
-                    return False
-            case Scatter(root, _, length) | Gather(root, _, length) | Bcast(root, _, length):
-                if expr_vars(root) or expr_vars(length):
-                    return False
-            case Allreduce(_, length, _):
-                if expr_vars(length):
-                    return False
-    return True
+    return not any(
+        expr_vars(x) for a in atoms_of(t) for x in atom_args(a) if not isinstance(x, LABELS)
+    )

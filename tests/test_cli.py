@@ -265,13 +265,152 @@ def test_simulate_state_limit(ring, capsys):
         "--param", "size=9", "--state-limit", "5",
     )
     assert code == EXIT_FAIL
-    assert out.startswith("verdict: state-space-exceeded (limit 5,")
+    assert out == "verdict: state-space-exceeded (limit 5, 5 states explored)\n"
+
+
+@pytest.mark.parametrize(
+    "limit, code, line",
+    [
+        ("20", EXIT_FAIL, "verdict: state-space-exceeded (limit 20, 20 states explored)"),
+        ("21", EXIT_OK, "verdict: all-done (21 states explored)"),
+    ],
+)
+def test_simulate_state_limit_boundary(ring, capsys, limit, code, line):
+    # the ring has 21 states: a budget of 21 completes, one of 20 runs out
+    result = run(
+        capsys, "simulate", str(ring / "ring.cty"), "--param", "size=9", "--state-limit", limit
+    )
+    assert result == (code, line + "\n", "")
 
 
 def test_simulate_ill_formed_protocol(ring, capsys):
     code, _, err = run(capsys, "simulate", str(ring / "ring.cty"), "--param", "size=7")
     assert code == EXIT_FAIL
     assert "refinement-violated" in err
+
+
+# -- syntax errors and internal errors ----------------------------------------
+
+_ATOMS = "(expected 'end' or 'loop' or 'choice' or "
+_NOT_EXPR = "(expected an integer literal or a variable or '(')"
+_NOT_DTYPE = "(expected 'MPI_INT' or 'MPI_FLOAT')"
+
+
+def _program(statement: str) -> str:
+    return f"buffer b int[1]\ninit\n{statement}\nfinalize\n"
+
+
+@pytest.mark.parametrize(
+    "name, text, message",
+    [
+        ("send.clt", "send(1,MPI_INT).end", "1:15: unexpected ')' (expected ',')"),
+        ("receive.clt", "receive(0,MPI_INTX,1).end", f"1:11: unexpected 'MPI_INTX' {_NOT_DTYPE}"),
+        ("scatter.clt", "scatter(0 MPI_INT,1).end", "1:11: unexpected 'MPI_INT' (expected ',')"),
+        ("gather.clt", "gather(0,MPI_INT,).end", f"1:18: unexpected ')' {_NOT_EXPR}"),
+        ("bcast.clt", "bcast(0,MPI_INTX,1).end", f"1:9: unexpected 'MPI_INTX' {_NOT_DTYPE}"),
+        (
+            "allreduce.clt",
+            "allreduce(MPI_INT,1,MPI_ADD).end",
+            "1:21: unexpected 'MPI_ADD' (expected 'MPI_MAX' or 'MPI_MIN' or 'MPI_SUM')",
+        ),
+        ("allreduce_short.clt", "allreduce(MPI_INT,1).end", "1:20: unexpected ')' (expected ',')"),
+        ("unclosed.clt", "send(1,MPI_INT,1.end", "1:17: unexpected '.' (expected ')')"),
+        (
+            "message.clt",
+            "message(0,1,MPI_INT,1).end",
+            f"1:1: unexpected 'message' {_ATOMS}'send' or 'receive' or 'scatter' or 'gather'"
+            " or 'bcast' or 'allreduce')",
+        ),
+        ("message.cty", "nprocs 2.\nmessage(0,1).end\n", "2:12: unexpected ')' (expected ',')"),
+        (
+            "message_dtype.cty",
+            "nprocs 2.\nmessage(0,1,MPI_DOUBLE,1).end\n",
+            f"2:13: unexpected 'MPI_DOUBLE' {_NOT_DTYPE}",
+        ),
+        (
+            "send.cty",
+            "nprocs 2.\nsend(1,MPI_INT,1).end\n",
+            f"2:1: unexpected 'send' {_ATOMS}'message' or 'scatter' or 'gather' or 'bcast'"
+            " or 'allreduce')",
+        ),
+        (
+            "scatter.cty",
+            "nprocs 2.\nscatter(end,MPI_INT,1).end\n",
+            f"2:9: unexpected 'end' {_NOT_EXPR}",
+        ),
+        (
+            "allreduce.cty",
+            "nprocs 2.\nallreduce(MPI_FLOAT,,MPI_MAX).end\n",
+            f"2:21: unexpected ',' {_NOT_EXPR}",
+        ),
+        (
+            "gather.cty",
+            "nprocs 2.\nbcast(0,MPI_INT,1).gather(0,MPI_FLOAT,2,3).end\n",
+            "2:40: unexpected ',' (expected ')')",
+        ),
+        (
+            "send.mmp",
+            _program("send root=0 buf=b len=1"),
+            "3:6: unexpected 'root' (expected 'peer')",
+        ),
+        (
+            "recv.mmp",
+            _program("recv root=0 buf=b len=1"),
+            "3:6: unexpected 'root' (expected 'peer')",
+        ),
+        ("recv_eq.mmp", _program("recv peer 1 buf=b len=1"), "3:11: unexpected '1' (expected '=')"),
+        (
+            "scatter.mmp",
+            _program("scatter peer=0 buf=b len=1"),
+            "3:9: unexpected 'peer' (expected 'root')",
+        ),
+        ("gather.mmp", _program("gather root=0 len=1"), "3:15: unexpected 'len' (expected 'buf')"),
+        (
+            "bcast.mmp",
+            _program("bcast root=0 buf=b"),
+            "4:1: unexpected 'finalize' (expected 'len')",
+        ),
+        (
+            "send_buf.mmp",
+            _program("send peer=1 buf=1 len=1"),
+            "3:17: unexpected '1' (expected an identifier)",
+        ),
+        (
+            "allreduce.mmp",
+            _program("allreduce buf=b len=1"),
+            "4:1: unexpected 'finalize' (expected 'op')",
+        ),
+        (
+            "allreduce_op.mmp",
+            _program("allreduce buf=b len=1 op=ADD"),
+            "3:26: reduce op must be MAX, MIN, or SUM",
+        ),
+        (
+            "allreduce_root.mmp",
+            _program("allreduce root=0 buf=b len=1 op=SUM"),
+            "3:11: unexpected 'root' (expected 'buf')",
+        ),
+    ],
+)
+def test_syntax_error_line_for_every_atom_and_statement_kind(ring, capsys, name, text, message):
+    path = ring / name
+    path.write_text(text)
+    argv = {
+        ".clt": ["simulate", str(path)],
+        ".cty": ["validate", str(path)],
+        ".mmp": ["verify", str(path), str(ring / "ring.cty"), "--param", "size=9"],
+    }[path.suffix]
+    assert run(capsys, *argv) == (EXIT_FAIL, "", f"{path}: syntax error: {message}\n")
+
+
+def test_an_internal_error_exits_2_with_one_line(ring, capsys, monkeypatch):
+    def overflow(*args, **kwargs):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr("commcheck.cli.explore_all_tapes", overflow)
+    code, out, err = run(capsys, "simulate", str(ring / "ring.cty"), "--param", "size=9")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == "error: internal error: RecursionError: maximum recursion depth exceeded\n"
 
 
 # -- module entry point -----------------------------------------------------------

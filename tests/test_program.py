@@ -7,21 +7,17 @@ import pytest
 from commcheck.exprs import BinOp, Lit, Var
 from commcheck.lexer import ParseError
 from commcheck.program import (
-    AllreduceStmt,
     BufferDecl,
     CollChoice,
     CollLoop,
     CommRank,
     CommSize,
+    CommStmt,
     Compute,
     Finalize,
-    GatherStmt,
     Init,
     Let,
     RankIf,
-    RecvStmt,
-    ScatterStmt,
-    SendStmt,
     parse_program,
 )
 from commcheck.terms import DataKind, ReduceOp
@@ -50,16 +46,16 @@ def test_ring_program_structure(fdiff_program_text):
 
     # the loop body branches on rank parity and ends with the reduction
     body = loops[0].body
-    assert isinstance(body[-1], AllreduceStmt)
+    assert body[-1].kind == "allreduce"
     assert body[-1].op == ReduceOp.MAX
     branch = next(s for s in body if isinstance(s, RankIf))
-    then_kinds = [type(s).__name__ for s in branch.then_body]
-    else_kinds = [type(s).__name__ for s in branch.else_body]
-    assert then_kinds == ["SendStmt", "RecvStmt", "RecvStmt", "SendStmt"]
-    assert else_kinds == ["RecvStmt", "SendStmt", "SendStmt", "RecvStmt"]
+    then_kinds = [s.kind for s in branch.then_body]
+    else_kinds = [s.kind for s in branch.else_body]
+    assert then_kinds == ["send", "receive", "receive", "send"]
+    assert else_kinds == ["receive", "send", "send", "receive"]
 
     # the choice gathers on one side and merely computes on the other
-    assert any(isinstance(s, GatherStmt) for s in choices[0].then_body)
+    assert any(isinstance(s, CommStmt) and s.kind == "gather" for s in choices[0].then_body)
     assert all(isinstance(s, Compute) for s in choices[0].else_body)
 
 
@@ -86,12 +82,12 @@ def test_statement_payloads():
     assert a == BufferDecl("a", DataKind.FLOAT, BinOp("*", Var("n"), Lit(2)))
     assert b == BufferDecl("b", DataKind.INT, Lit(4))
 
-    stmts = {type(s).__name__: s for s in prog.body}
+    stmts = {s.kind if isinstance(s, CommStmt) else type(s).__name__: s for s in prog.body}
     assert stmts["Let"] == Let("half", BinOp("/", Var("n"), Lit(2)))
-    assert stmts["SendStmt"] == SendStmt(BinOp("+", Var("me"), Lit(1)), "a", Lit(1))
-    assert stmts["RecvStmt"].peer == BinOp("-", Var("me"), Lit(1))
-    assert stmts["ScatterStmt"] == ScatterStmt(Lit(0), "a", Var("half"))
-    assert stmts["AllreduceStmt"] == AllreduceStmt("b", Lit(1), ReduceOp.SUM)
+    assert stmts["send"] == CommStmt("send", BinOp("+", Var("me"), Lit(1)), "a", Lit(1))
+    assert stmts["receive"].who == BinOp("-", Var("me"), Lit(1))
+    assert stmts["scatter"] == CommStmt("scatter", Lit(0), "a", Var("half"))
+    assert stmts["allreduce"] == CommStmt("allreduce", None, "b", Lit(1), ReduceOp.SUM)
     assert isinstance(stmts["CommSize"], CommSize)
     assert isinstance(stmts["CommRank"], CommRank)
 

@@ -258,7 +258,13 @@ def test_state_limit_yields_exceeded_not_a_lie():
     verdict = simulate(ensemble(*texts), [], state_limit=2)
     assert isinstance(verdict, StateSpaceExceeded)
     assert verdict.limit == 2
-    assert verdict.states_explored >= 2
+    assert verdict.states_explored == 2
+
+
+def test_a_state_limit_equal_to_the_state_count_suffices(fdiff_protocol_text):
+    views = list(project_all(parse_protocol(fdiff_protocol_text), {"size": 9}))
+    assert explore_all_tapes(views, 2, state_limit=20) == StateSpaceExceeded(20, 20)
+    assert explore_all_tapes(views, 2, state_limit=21) == AllDone(21)
 
 
 @pytest.mark.parametrize("limit", [0, -1])
