@@ -206,17 +206,6 @@ def eval_pred(p: Pred, env: Env) -> bool:
     raise TypeError(f"not a predicate: {p!r}")
 
 
-def pred_vars(p: Pred) -> set[str]:
-    match p:
-        case Cmp(_, lhs, rhs):
-            return expr_vars(lhs) | expr_vars(rhs)
-        case And(lhs, rhs) | Or(lhs, rhs):
-            return pred_vars(lhs) | pred_vars(rhs)
-        case Not(arg):
-            return pred_vars(arg)
-    raise TypeError(f"not a predicate: {p!r}")
-
-
 # ---------------------------------------------------------------------------
 # kinds
 # ---------------------------------------------------------------------------

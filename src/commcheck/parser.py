@@ -38,7 +38,6 @@ from .terms import (
     Atom,
     Choice,
     DataKind,
-    End,
     GlobalAtom,
     GlobalType,
     LocalAtom,
@@ -49,6 +48,7 @@ from .terms import (
     Protocol,
     ReduceOp,
     TypeTerm,
+    rebuild,
 )
 
 _MAX_DEPTH = 200
@@ -322,41 +322,25 @@ class _ProtocolParser(BaseParser):
         # with it the depth cap, applies only to loop and choice bodies.
         self._enter()
         try:
-            items: list[tuple] = []
-            while True:
-                if self.at_ident("end"):
-                    self.bump()
-                    break
+            heads: list[tuple] = []
+            while not self.at_ident("end"):
                 if self.at_ident("loop"):
                     self.bump()
                     self.expect_punct("(")
-                    body = self.parse_type(local)
+                    heads.append((Loop, self.parse_type(local)))
                     self.expect_punct(")")
-                    self.expect_punct(".")
-                    items.append(("loop", body))
-                    continue
-                if self.at_ident("choice"):
+                elif self.at_ident("choice"):
                     self.bump()
                     self.expect_punct("(")
                     tb = self.parse_type(local)
                     self.expect_punct(",")
-                    fb = self.parse_type(local)
+                    heads.append((Choice, tb, self.parse_type(local)))
                     self.expect_punct(")")
-                    self.expect_punct(".")
-                    items.append(("choice", tb, fb))
-                    continue
-                atom = self.parse_atom(local)
-                self.expect_punct(".")
-                items.append(("atom", atom))
-            term: TypeTerm = End()
-            for item in reversed(items):
-                if item[0] == "atom":
-                    term = Prefix(item[1], term)
-                elif item[0] == "loop":
-                    term = Loop(item[1], term)
                 else:
-                    term = Choice(item[1], item[2], term)
-            return term
+                    heads.append((Prefix, self.parse_atom(local)))
+                self.expect_punct(".")
+            self.bump()
+            return rebuild(heads)
         finally:
             self._exit()
 

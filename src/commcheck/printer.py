@@ -29,12 +29,12 @@ from .terms import (
     LABELS,
     Atom,
     Choice,
-    End,
     Loop,
     Prefix,
     Protocol,
     TypeTerm,
     atom_args,
+    spine,
 )
 
 _EXPR_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "%": 2}
@@ -122,29 +122,22 @@ def format_atom(a: Atom) -> str:
 def format_term(t: TypeTerm, indent: int = 0) -> str:
     """Render a type term, one spine item per line."""
     pad = "  " * indent
-    inner = "  " * (indent + 1)
     lines: list[str] = []
-    while True:
-        match t:
-            case End():
-                lines.append(f"{pad}end")
-                return "\n".join(lines)
-            case Prefix(atom, cont):
+    for node in spine(t):
+        match node:
+            case Prefix(atom, _):
                 lines.append(f"{pad}{format_atom(atom)}.")
-                t = cont
-            case Loop(body, cont):
+            case Loop(body, _):
                 lines.append(f"{pad}loop(")
                 lines.append(format_term(body, indent + 1))
                 lines.append(f"{pad}).")
-                t = cont
-            case Choice(tb, fb, cont):
+            case Choice(tb, fb, _):
                 lines.append(f"{pad}choice(")
                 lines.append(format_term(tb, indent + 1) + ",")
                 lines.append(format_term(fb, indent + 1))
                 lines.append(f"{pad}).")
-                t = cont
-            case _:
-                raise TypeError(f"not a type term: {t!r}")
+    lines.append(f"{pad}end")
+    return "\n".join(lines)
 
 
 def format_protocol(p: Protocol) -> str:

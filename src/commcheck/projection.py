@@ -10,12 +10,10 @@ come out ground: every peer, root, and length is a literal.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 from .exprs import Env, Lit, eval_expr
 from .terms import (
     Choice,
-    End,
     LocalType,
     Loop,
     Message,
@@ -25,6 +23,8 @@ from .terms import (
     Send,
     TypeTerm,
     ground_atom,
+    rebuild,
+    spine,
 )
 
 
@@ -61,29 +61,21 @@ def project_all(protocol: Protocol, inst: Env) -> ProjectionResult:
 
 
 def _project(t: TypeTerm, env: Env, rank: int) -> TypeTerm:
-    # Walk the continuation spine iteratively, keeping one constructor per
-    # kept node, then rebuild from the end: every node constructor takes
-    # its continuation last. Only loop bodies and choice branches recurse.
     kept = []
-    while not isinstance(t, End):
-        match t:
-            case Prefix(Message(src, dst, dtype, length) as msg, cont):
+    for node in spine(t):
+        match node:
+            case Prefix(Message(src, dst, dtype, length) as msg, _):
                 source = eval_expr(src, env)
                 destination = eval_expr(dst, env)
                 count = Lit(eval_expr(length, env))
                 if source == rank:
-                    kept.append(partial(Prefix, Send(Lit(destination), dtype, count, pos=msg.pos)))
+                    kept.append((Prefix, Send(Lit(destination), dtype, count, pos=msg.pos)))
                 elif destination == rank:
-                    kept.append(partial(Prefix, Receive(Lit(source), dtype, count, pos=msg.pos)))
-            case Prefix(atom, cont):
-                kept.append(partial(Prefix, ground_atom(atom, env)))
-            case Loop(body, cont):
-                kept.append(partial(Loop, _project(body, env, rank)))
-            case Choice(tb, fb, cont):
-                kept.append(partial(Choice, _project(tb, env, rank), _project(fb, env, rank)))
-            case _:
-                raise TypeError(f"not a type term: {t!r}")
-        t = cont
-    for node in reversed(kept):
-        t = node(t)
-    return t
+                    kept.append((Prefix, Receive(Lit(source), dtype, count, pos=msg.pos)))
+            case Prefix(atom, _):
+                kept.append((Prefix, ground_atom(atom, env)))
+            case Loop(body, _):
+                kept.append((Loop, _project(body, env, rank)))
+            case Choice(tb, fb, _):
+                kept.append((Choice, _project(tb, env, rank), _project(fb, env, rank)))
+    return rebuild(kept)

@@ -10,7 +10,9 @@ fire only when every rank sits at the decision, and all ranks take the
 same boolean. Entering a loop grafts the body in front
 of the loop node again; declining moves every rank to the continuation.
 
-The explorer walks every interleaving depth-first, memoized on the
+The explorer walks every interleaving depth-first on an explicit stack,
+so a run's length is bounded by memory, not by the recursion limit; a
+deadlock's witness is the steps along the stack. It memoizes on the
 ensemble's residues plus one control state per mode, which only
 decision steps read and change. Under a fixed tape (`simulate`) it is
 the number of decisions taken, so the tape gives the next one. In the
@@ -209,10 +211,6 @@ def _successors(residues: Residues) -> list[tuple[Step, Residues]]:
 # ---------------------------------------------------------------------------
 
 
-class _LimitHit(Exception):
-    pass
-
-
 def _explore(
     locals_: Sequence[LocalType],
     ctl0,
@@ -232,48 +230,36 @@ def _explore(
         raise ValueError(f"state_limit must be >= 1, got {state_limit}")
     memo: set = set()
     explored = 0
-
-    def rec(residues, ctl, trail) -> Deadlock | None:
-        nonlocal explored
-        key = (residues, ctl)
-        if key in memo:
-            return None
-        if explored == state_limit:
-            raise _LimitHit
-        explored += 1
-        if all(isinstance(t, End) for t in residues):
-            memo.add(key)
-            return None
-
-        succs = []
-        for step, nxt in _successors(residues):
-            nxt_ctl = decide(ctl, residues, step) if isinstance(step, DecisionStep) else ctl
-            if nxt_ctl is not None:
-                succs.append((step, nxt, nxt_ctl))
-
-        if not succs:
-            return Deadlock(tuple(_describe_head(t) for t in residues), trail, SimState(residues))
-
-        if por and any(isinstance(step, P2PStep) for step, _, _ in succs):
-            # Point-to-point steps touch disjoint rank pairs and stay
-            # enabled until taken, so exploring one representative per
-            # state preserves reachability of stuck states.
-            succs = [next(s for s in succs if isinstance(s[0], P2PStep))]
-
-        for step, nxt, nxt_ctl in succs:
-            found = rec(nxt, nxt_ctl, trail + (step,))
-            if found is not None:
-                return found
-        memo.add(key)
-        return None
-
-    try:
-        deadlock = rec(tuple(locals_), ctl0, ())
-    except _LimitHit:
-        return StateSpaceExceeded(state_limit, explored)
-    if deadlock is not None:
-        return deadlock
-    return AllDone(explored)
+    # The current path, one frame per state: the step that reached it,
+    # its memo key, and its successors not yet visited. A state is
+    # counted when first visited and memoized when its frame is popped.
+    path: list = []
+    via, key = None, (tuple(locals_), ctl0)
+    while True:
+        if key not in memo:
+            if explored == state_limit:
+                return StateSpaceExceeded(state_limit, explored)
+            explored += 1
+            residues, ctl = key
+            succs = []
+            for step, nxt in _successors(residues):
+                nxt_ctl = decide(ctl, residues, step) if isinstance(step, DecisionStep) else ctl
+                if nxt_ctl is not None:
+                    succs.append((step, (nxt, nxt_ctl)))
+            if por and any(isinstance(s, P2PStep) for s, _ in succs):
+                # Point-to-point steps touch disjoint rank pairs and stay
+                # enabled until taken, so exploring one representative per
+                # state preserves reachability of stuck states.
+                succs = [next(s for s in succs if isinstance(s[0], P2PStep))]
+            path.append((via, key, iter(succs)))
+            if not succs and not all(isinstance(t, End) for t in residues):
+                blocked = tuple(_describe_head(t) for t in residues)
+                return Deadlock(blocked, tuple(frame[0] for frame in path[1:]), SimState(residues))
+        while path and (nxt := next(path[-1][2], None)) is None:
+            memo.add(path.pop()[1])
+        if not path:
+            return AllDone(explored)
+        via, key = nxt
 
 
 def simulate(
@@ -382,11 +368,16 @@ def parse_trail(text: str) -> tuple[Step, ...]:
                 )
             elif parts[0] == "coll":
                 kind = parts[1]
+                if kind not in _COLLECTIVES:
+                    raise ValueError(f"unknown collective {kind!r}")
                 kv = dict(p.split("=", 1) for p in parts[2:])
-                root = int(kv["root"]) if "root" in kv else None
-                op = ReduceOp(kv["op"]) if "op" in kv else None
+                # `format_trail` writes an op for an allreduce, a root for the others
+                root = None if kind == "allreduce" else int(kv["root"])
+                op = ReduceOp(kv["op"]) if kind == "allreduce" else None
                 steps.append(Comm(kind, root, DataKind(kv["dtype"]), int(kv["len"]), op))
             elif parts[0] == "decision":
+                if parts[1] not in ("loop", "choice") or parts[2] not in ("enter", "skip"):
+                    raise ValueError("expected 'decision loop|choice enter|skip'")
                 steps.append(DecisionStep(parts[1], parts[2] == "enter"))
             else:
                 raise ValueError(f"unknown step kind {parts[0]!r}")

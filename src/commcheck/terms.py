@@ -4,8 +4,11 @@ Global and local types share the same term constructors (prefix, loop,
 choice, end); they differ only in which atoms may appear at a prefix.
 A global type speaks of messages between two ranks, a local type of
 sends and receives as seen by one rank. Collective atoms occur on both
-sides unchanged. Nodes are frozen dataclasses, so equality and hashing
-are structural; source positions never take part in comparisons.
+sides unchanged. Nodes are frozen dataclasses, so equality is
+structural; source positions never take part in comparisons. Every walk
+along a term's continuation spine is a loop over `spine` and `rebuild`;
+only loop bodies and choice branches, whose depth the parser bounds,
+recurse. A node's hash is computed once, when it is built.
 An atom is written as its name in `ATOM_NAMES` followed by its fields
 other than `pos`, in declaration order (`atom_args`); the parser, the
 printer and grounding all work from that one description.
@@ -18,7 +21,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field, fields
 from operator import attrgetter
-from typing import Iterator, NamedTuple, Union
+from typing import Iterator, NamedTuple, Sequence, Union
 
 from .exprs import Env, Expr, ExprError, Kind, Lit, Pos, eval_expr, expr_vars
 
@@ -191,14 +194,31 @@ class End:
     pass
 
 
+class _Node:
+    """A prefix, loop or choice node, with `cont` as its last field. It is
+    hashed once, at construction, so hashing never walks the spine; each
+    node class names `__hash__` so that `@dataclass` keeps it."""
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash(self.__reduce__()[1]))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        # Class and fields, `cont` last; pickles rebuild through it, so hashes are recomputed.
+        return type(self), tuple(getattr(self, f) for f in self.__match_args__)
+
+
 @dataclass(frozen=True)
-class Prefix:
+class Prefix(_Node):
     atom: Atom
     cont: TypeTerm
+    __hash__ = _Node.__hash__
 
 
 @dataclass(frozen=True)
-class Loop:
+class Loop(_Node):
     """Collectively decided repetition of `body`, then `cont`.
 
     Every rank takes the same decision at each arrival, so a loop node
@@ -207,15 +227,17 @@ class Loop:
 
     body: TypeTerm
     cont: TypeTerm
+    __hash__ = _Node.__hash__
 
 
 @dataclass(frozen=True)
-class Choice:
+class Choice(_Node):
     """Collectively decided branch, then `cont` either way."""
 
     true_branch: TypeTerm
     false_branch: TypeTerm
     cont: TypeTerm
+    __hash__ = _Node.__hash__
 
 
 TypeTerm = Union[End, Prefix, Loop, Choice]
@@ -246,24 +268,46 @@ class Protocol:
 # ---------------------------------------------------------------------------
 
 
+def spine(t: TypeTerm) -> list[TypeTerm]:
+    """The prefix, loop and choice nodes along the continuation of `t`,
+    in order, without the `end` that closes it."""
+    nodes = []
+    while not isinstance(t, End):
+        if not isinstance(t, _Node):
+            raise TypeError(f"not a type term: {t!r}")
+        nodes.append(t)
+        t = t.cont
+    return nodes
+
+
+def rebuild(nodes: Sequence, tail: TypeTerm = End()) -> TypeTerm:
+    """Chain spine nodes, in order, onto `tail`: `rebuild(spine(t)) == t`.
+
+    An item is a node, whose own `cont` is dropped, or a node head such
+    as `(Loop, body)`: the class and the fields but `cont`, so that a
+    caller building a spine builds each node once.
+    """
+    for item in reversed(nodes):
+        if isinstance(item, _Node):
+            cls, args = item.__reduce__()
+            item = (cls, *args[:-1])
+        cls, *args = item
+        tail = cls(*args, tail)
+    return tail
+
+
 def atoms_of(t: TypeTerm) -> Iterator[Atom]:
     """All atoms of `t` in traversal order: spine first at each node,
     loop bodies before their continuation, choice branches true-then-false."""
-    match t:
-        case End():
-            return
-        case Prefix(atom, cont):
-            yield atom
-            yield from atoms_of(cont)
-        case Loop(body, cont):
-            yield from atoms_of(body)
-            yield from atoms_of(cont)
-        case Choice(tb, fb, cont):
-            yield from atoms_of(tb)
-            yield from atoms_of(fb)
-            yield from atoms_of(cont)
-        case _:
-            raise TypeError(f"not a type term: {t!r}")
+    for node in spine(t):
+        match node:
+            case Prefix(atom, _):
+                yield atom
+            case Loop(body, _):
+                yield from atoms_of(body)
+            case Choice(tb, fb, _):
+                yield from atoms_of(tb)
+                yield from atoms_of(fb)
 
 
 def concat(t: TypeTerm, rest: TypeTerm) -> TypeTerm:
@@ -273,16 +317,7 @@ def concat(t: TypeTerm, rest: TypeTerm) -> TypeTerm:
     `end` of the spine is replaced. Used to unfold loops and commit
     choice branches during simulation.
     """
-    match t:
-        case End():
-            return rest
-        case Prefix(atom, cont):
-            return Prefix(atom, concat(cont, rest))
-        case Loop(body, cont):
-            return Loop(body, concat(cont, rest))
-        case Choice(tb, fb, cont):
-            return Choice(tb, fb, concat(cont, rest))
-    raise TypeError(f"not a type term: {t!r}")
+    return rebuild(spine(t), rest)
 
 
 def ground_atom(a: Atom, env: Env) -> Atom:
@@ -293,16 +328,16 @@ def ground_atom(a: Atom, env: Env) -> Atom:
 
 def ground_term(t: TypeTerm, env: Env) -> TypeTerm:
     """Evaluate every expression in `t` to a literal."""
-    match t:
-        case End():
-            return t
-        case Prefix(atom, cont):
-            return Prefix(ground_atom(atom, env), ground_term(cont, env))
-        case Loop(body, cont):
-            return Loop(ground_term(body, env), ground_term(cont, env))
-        case Choice(tb, fb, cont):
-            return Choice(ground_term(tb, env), ground_term(fb, env), ground_term(cont, env))
-    raise TypeError(f"not a type term: {t!r}")
+    heads = []
+    for node in spine(t):
+        match node:
+            case Prefix(atom, _):
+                heads.append((Prefix, ground_atom(atom, env)))
+            case Loop(body, _):
+                heads.append((Loop, ground_term(body, env)))
+            case Choice(tb, fb, _):
+                heads.append((Choice, ground_term(tb, env), ground_term(fb, env)))
+    return rebuild(heads)
 
 
 def is_ground(t: TypeTerm) -> bool:

@@ -23,7 +23,6 @@ from .terms import (
     Allreduce,
     Bcast,
     Choice,
-    End,
     Gather,
     Loop,
     Message,
@@ -31,6 +30,7 @@ from .terms import (
     Protocol,
     Scatter,
     TypeTerm,
+    spine,
 )
 
 # Ensemble size must stay strictly inside these bounds.
@@ -134,24 +134,15 @@ def check_wf(protocol: Protocol, inst: Env) -> WfReport:
 
 
 def _walk(t: TypeTerm, base: str, env: Env, num_procs: int, report: WfReport) -> None:
-    index = 0
-    while True:
-        match t:
-            case End():
-                return
-            case Prefix(atom, cont):
+    for index, node in enumerate(spine(t)):
+        match node:
+            case Prefix(atom, _):
                 _check_atom(atom, f"{base}[{index}]", env, num_procs, report)
-                t = cont
-            case Loop(body, cont):
+            case Loop(body, _):
                 _walk(body, f"{base}[{index}].loop", env, num_procs, report)
-                t = cont
-            case Choice(tb, fb, cont):
+            case Choice(tb, fb, _):
                 _walk(tb, f"{base}[{index}].true", env, num_procs, report)
                 _walk(fb, f"{base}[{index}].false", env, num_procs, report)
-                t = cont
-            case _:
-                raise TypeError(f"not a type term: {t!r}")
-        index += 1
 
 
 def _check_atom(atom, path: str, env: Env, num_procs: int, report: WfReport) -> None:

@@ -1,7 +1,11 @@
-"""Every name a module of the package imports is used in that module.
+"""Static checks over the package's source, by `ast`.
 
-No linter ships with the project, so this stands in for the unused-
-import check. `__init__` is exempt: it imports names to re-export them.
+Every name a module of the package imports is used in that module. No
+linter ships with the project, so this stands in for the unused-import
+check. `__init__` is exempt: it imports names to re-export them.
+
+No module enlarges the interpreter's stack or recursion limit, so a
+walk that recurses along a spine cannot pass for an iterative one.
 """
 
 from __future__ import annotations
@@ -13,9 +17,9 @@ import pytest
 
 import commcheck
 
-MODULES = sorted(
-    p for p in Path(commcheck.__file__).parent.glob("*.py") if p.name != "__init__.py"
-)
+ALL_MODULES = sorted(Path(commcheck.__file__).parent.glob("*.py"))
+MODULES = [p for p in ALL_MODULES if p.name != "__init__.py"]
+STACK_RESIZERS = {"setrecursionlimit", "stack_size"}  # of sys and threading
 
 
 def unused_imports(source: str) -> list[str]:
@@ -40,3 +44,33 @@ def test_every_imported_name_is_used(path):
 def test_the_check_sees_an_unused_name():
     source = "from .terms import Comm, End\nimport enum\n\ndef f():\n    return End()\n"
     assert unused_imports(source) == ["1: Comm", "2: enum"]
+
+
+def stack_resizers(source: str) -> list[str]:
+    """Uses of `sys.setrecursionlimit` or `threading.stack_size`, called
+    or not, and imports of either name."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in STACK_RESIZERS:
+            found.append(f"{node.lineno}: {node.attr}")
+        elif isinstance(node, ast.ImportFrom):
+            names = [a.name for a in node.names if a.name in STACK_RESIZERS]
+            found += [f"{node.lineno}: {name}" for name in names]
+    return found
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
+def test_no_module_resizes_the_stack(path):
+    assert stack_resizers(path.read_text()) == []
+
+
+def test_the_check_sees_a_stack_resizer():
+    source = (
+        "import sys\nimport threading\nfrom sys import setrecursionlimit as grow\n"
+        "sys.setrecursionlimit(10**6)\nthreading.stack_size(1 << 27)\ngrow(10**6)\n"
+    )
+    assert stack_resizers(source) == [
+        "3: setrecursionlimit",
+        "4: setrecursionlimit",
+        "5: stack_size",
+    ]

@@ -325,6 +325,22 @@ def test_parse_trail_rejects_junk():
         parse_trail("p2p src=0 dst=zebra dtype=MPI_INT len=1")
 
 
+@pytest.mark.parametrize(
+    "line",
+    [
+        "decision loop entr",
+        "decision lop enter",
+        "coll frob root=0 dtype=MPI_INT len=1",
+        "coll allreduce dtype=MPI_INT len=1",
+        "coll bcast dtype=MPI_INT len=1",
+    ],
+)
+def test_parse_trail_rejects_a_line_format_trail_never_writes(line):
+    # Read leniently, each would be a step that replays another schedule, or none.
+    with pytest.raises(ValueError, match="malformed witness line"):
+        parse_trail(line)
+
+
 def test_witness_from_flat_ring_names_every_rank_blocked(
     fdiff_protocol_text, fdiff_flat_program_text
 ):

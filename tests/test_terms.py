@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
+import commcheck
 from commcheck.exprs import BinOp, Lit, Var
 from commcheck.parser import parse_local_term
 from commcheck.terms import (
@@ -15,6 +20,8 @@ from commcheck.terms import (
     concat,
     ground_term,
     is_ground,
+    rebuild,
+    spine,
 )
 
 from proto_gen import random_local_term
@@ -112,3 +119,44 @@ def test_expr_structure_does_not_affect_ground_equality():
     assert isinstance(a.atom.length, BinOp)
     assert isinstance(a.atom.length.lhs, Lit)
     assert a.atom.length != Var("four")
+
+
+def test_spine_and_rebuild_are_inverse():
+    rng = random.Random(16)
+    for _ in range(200):
+        t = random_local_term(rng)
+        nodes = spine(t)
+        assert all(not isinstance(n, End) for n in nodes)
+        assert rebuild(nodes) == t
+        assert hash(rebuild(nodes)) == hash(t)
+
+
+# Pickles a term, or reads one back and reports whether it is a member
+# of a set holding the same term built in this process.
+_PICKLE_CHILD = """
+import pickle, sys
+from commcheck.parser import parse_local_term
+t = parse_local_term(sys.argv[2])
+if sys.argv[1] == "dump":
+    print(pickle.dumps(t).hex())
+else:
+    print(pickle.loads(bytes.fromhex(sys.stdin.read())) in {t})
+"""
+
+
+def test_a_term_unpickled_in_another_process_is_the_same_set_member():
+    # String hashes differ between processes, so a hash cached at
+    # construction must not travel with the pickle.
+    src = str(Path(commcheck.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    text = "send(n,MPI_INT,1).loop(choice(bcast(0,MPI_FLOAT,n).end,end).end).end"
+
+    def child(seed, mode, stdin=""):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
+        proc = subprocess.run(
+            [sys.executable, "-c", _PICKLE_CHILD, mode, text],
+            input=stdin, env=env, capture_output=True, text=True, timeout=60, check=True,
+        )
+        return proc.stdout.strip()
+
+    assert child("2", "load", child("1", "dump")) == "True"
