@@ -10,10 +10,18 @@ fire only when every rank sits at the decision, and all ranks take the
 same boolean. Entering a loop grafts the body in front
 of the loop node again; declining moves every rank to the continuation.
 
+A search numbers each distinct residue (a rank's residual local type)
+when it first reaches it, keyed by term equality, and stores the
+residue's move once, as a row of its `_Automaton`. So an ensemble state
+is a tuple of ints, and each head's `Comm` and each loop unfolding or
+chosen branch is built once per search. A row is built when a state
+holding its residue is first expanded, so a non-ground atom raises
+ValueError only if the search reaches it.
+
 The explorer walks every interleaving depth-first on an explicit stack,
 so a run's length is bounded by memory, not by the recursion limit; a
 deadlock's witness is the steps along the stack. It memoizes on the
-ensemble's residues plus one control state per mode, which only
+ensemble state plus one control state per mode, which only
 decision steps read and change. Under a fixed tape (`simulate`) it is
 the number of decisions taken, so the tape gives the next one. In the
 bounded search over every tape (`explore_all_tapes`) it is the stack of
@@ -142,68 +150,107 @@ SimVerdict = Union[AllDone, Deadlock, StateSpaceExceeded]
 
 
 # ---------------------------------------------------------------------------
-# heads
+# the automaton
 # ---------------------------------------------------------------------------
 
+_DECISIONS = ("loop", "choice")
 
-def _describe_head(t: LocalType) -> str:
-    match t:
-        case End():
-            return "done"
-        case Loop():
-            return "awaiting a collective loop decision"
-        case Choice():
-            return "awaiting a collective choice decision"
-        case Prefix(atom, _):
-            c = comm_of(atom)
-            if c.kind == "send":
-                return f"blocked sending to rank {c.peer} ({c.dtype.value}, len {c.count})"
-            if c.kind == "receive":
-                return f"blocked receiving from rank {c.peer} ({c.dtype.value}, len {c.count})"
-            if c.kind == "allreduce":
-                return f"blocked in allreduce ({c.dtype.value}, len {c.count}, {c.op.value})"
-            return f"blocked in {c.kind} (root {c.peer}, {c.dtype.value}, len {c.count})"
-    raise TypeError(f"not a type term: {t!r}")
+State = tuple[int, ...]  # one residue number per rank
 
 
-# ---------------------------------------------------------------------------
-# successor computation
-# ---------------------------------------------------------------------------
+def _describe_head(head) -> str:
+    """The blocked line of a rank whose row has `head`."""
+    if head is None:
+        return "done"
+    if head in _DECISIONS:
+        return f"awaiting a collective {head} decision"
+    kind, peer, dtype, count, op = head
+    if kind == "send":
+        return f"blocked sending to rank {peer} ({dtype.value}, len {count})"
+    if kind == "receive":
+        return f"blocked receiving from rank {peer} ({dtype.value}, len {count})"
+    if kind == "allreduce":
+        return f"blocked in allreduce ({dtype.value}, len {count}, {op.value})"
+    return f"blocked in {kind} (root {peer}, {dtype.value}, len {count})"
 
 
-def _successors(residues: Residues) -> list[tuple[Step, Residues]]:
-    """Every enabled step with the residues it leads to, in a fixed
-    deterministic order: the collective (if any), then p2p pairs by
-    sender rank, then the decision, enter before skip."""
-    n = len(residues)
-    heads = [comm_of(t.atom) if isinstance(t, Prefix) else None for t in residues]
-    out: list[tuple[Step, Residues]] = []
+class _Automaton:
+    """The residues one search reaches, numbered in the order it reaches
+    them (equal residues share a number), with each residue's move stored
+    once as a row `(head, a, b)`:
 
-    coll = heads[0]
-    if isinstance(coll, Comm) and coll.kind in _COLLECTIVES and all(h == coll for h in heads):
-        out.append((coll, tuple(t.cont for t in residues)))
+    - prefix: its `Comm`, then the number of its continuation;
+    - loop: "loop", then the numbers of the body grafted before the loop
+      and of the continuation;
+    - choice: "choice", then the numbers of each branch grafted before
+      the continuation;
+    - end: None, and no moves.
+    """
 
-    for sender, send in enumerate(heads):
-        if not isinstance(send, Comm) or send.kind != "send":
-            continue
-        receiver = send.peer
-        if not (0 <= receiver < n) or receiver == sender:
-            continue
-        if heads[receiver] == Comm("receive", sender, send.dtype, send.count):
-            new_residues = list(residues)
-            new_residues[sender] = residues[sender].cont
-            new_residues[receiver] = residues[receiver].cont
-            out.append((P2PStep(sender, receiver, send.dtype, send.count), tuple(new_residues)))
+    def __init__(self, locals_: Sequence[LocalType]):
+        self.number: dict[LocalType, int] = {}
+        self.terms: list[LocalType] = []
+        self.rows: list[tuple | None] = []
+        self.start: State = tuple(self._intern(t) for t in locals_)
 
-    if all(isinstance(t, Loop) for t in residues):
-        out.append((DecisionStep("loop", True), tuple(concat(t.body, t) for t in residues)))
-        out.append((DecisionStep("loop", False), tuple(t.cont for t in residues)))
-    elif all(isinstance(t, Choice) for t in residues):
-        for enter in (True, False):
-            branches = (concat(t.true_branch if enter else t.false_branch, t.cont) for t in residues)
-            out.append((DecisionStep("choice", enter), tuple(branches)))
+    def _intern(self, t: LocalType) -> int:
+        i = self.number.get(t)
+        if i is None:
+            i = self.number[t] = len(self.terms)
+            self.terms.append(t)
+            self.rows.append(None)
+        return i
 
-    return out
+    def _row(self, i: int) -> tuple:
+        t = self.terms[i]
+        match t:
+            case Prefix(atom, cont):
+                row = (comm_of(atom), self._intern(cont), None)
+            case Loop(body, cont):
+                row = ("loop", self._intern(concat(body, t)), self._intern(cont))
+            case Choice(tb, fb, cont):
+                row = ("choice", self._intern(concat(tb, cont)), self._intern(concat(fb, cont)))
+            case End():
+                row = (None, None, None)
+            case _:
+                raise TypeError(f"not a type term: {t!r}")
+        self.rows[i] = row
+        return row
+
+    def successors(self, state: State) -> list[tuple[Step, State]]:
+        """Every enabled step with the state it leads to, in a fixed
+        deterministic order: the collective (if any), then p2p pairs by
+        sender rank, then the decision, enter before skip."""
+        rows = [self.rows[i] or self._row(i) for i in state]
+        heads = [row[0] for row in rows]
+        n = len(state)
+        out: list[tuple[Step, State]] = []
+
+        first = heads[0]
+        if type(first) is Comm and first.kind in _COLLECTIVES and all(h == first for h in heads):
+            out.append((first, tuple(row[1] for row in rows)))
+
+        for sender, send in enumerate(heads):
+            if type(send) is not Comm or send.kind != "send":
+                continue
+            receiver = send.peer
+            if not (0 <= receiver < n) or receiver == sender:
+                continue
+            if heads[receiver] == Comm("receive", sender, send.dtype, send.count):
+                nxt = list(state)
+                nxt[sender] = rows[sender][1]
+                nxt[receiver] = rows[receiver][1]
+                out.append((P2PStep(sender, receiver, send.dtype, send.count), tuple(nxt)))
+
+        if first in _DECISIONS and all(h == first for h in heads):
+            out.append((DecisionStep(first, True), tuple(row[1] for row in rows)))
+            out.append((DecisionStep(first, False), tuple(row[2] for row in rows)))
+
+        return out
+
+    def sim_state(self, state: State) -> SimState:
+        """The residue terms of `state`."""
+        return SimState(tuple(self.terms[i] for i in state))
 
 
 # ---------------------------------------------------------------------------
@@ -214,36 +261,37 @@ def _successors(residues: Residues) -> list[tuple[Step, Residues]]:
 def _explore(
     locals_: Sequence[LocalType],
     ctl0,
-    decide: Callable[[Any, Residues, DecisionStep], Any],
+    decide: Callable[[Any, State, DecisionStep], Any],
     state_limit: int,
     por: bool,
 ) -> SimVerdict:
-    """Depth-first search memoized on (residues, control state).
+    """Depth-first search memoized on (state, control state).
 
-    Only decision steps consult the mode's policy: `decide(ctl,
-    residues, step)` returns the control state after the step, or None
-    when the policy forbids it.
+    Only decision steps consult the mode's policy: `decide(ctl, state,
+    step)` returns the control state after the step, or None when the
+    policy forbids it.
     """
     if not locals_:
         raise ValueError("ensemble must contain at least one rank")
     if state_limit < 1:
         raise ValueError(f"state_limit must be >= 1, got {state_limit}")
+    automaton = _Automaton(locals_)
     memo: set = set()
     explored = 0
     # The current path, one frame per state: the step that reached it,
     # its memo key, and its successors not yet visited. A state is
     # counted when first visited and memoized when its frame is popped.
     path: list = []
-    via, key = None, (tuple(locals_), ctl0)
+    via, key = None, (automaton.start, ctl0)
     while True:
         if key not in memo:
             if explored == state_limit:
                 return StateSpaceExceeded(state_limit, explored)
             explored += 1
-            residues, ctl = key
+            state, ctl = key
             succs = []
-            for step, nxt in _successors(residues):
-                nxt_ctl = decide(ctl, residues, step) if isinstance(step, DecisionStep) else ctl
+            for step, nxt in automaton.successors(state):
+                nxt_ctl = decide(ctl, state, step) if isinstance(step, DecisionStep) else ctl
                 if nxt_ctl is not None:
                     succs.append((step, (nxt, nxt_ctl)))
             if por and any(isinstance(s, P2PStep) for s, _ in succs):
@@ -252,9 +300,11 @@ def _explore(
                 # state preserves reachability of stuck states.
                 succs = [next(s for s in succs if isinstance(s[0], P2PStep))]
             path.append((via, key, iter(succs)))
-            if not succs and not all(isinstance(t, End) for t in residues):
-                blocked = tuple(_describe_head(t) for t in residues)
-                return Deadlock(blocked, tuple(frame[0] for frame in path[1:]), SimState(residues))
+            rows = automaton.rows
+            if not succs and any(rows[i][0] is not None for i in state):
+                blocked = tuple(_describe_head(rows[i][0]) for i in state)
+                trail = tuple(frame[0] for frame in path[1:])
+                return Deadlock(blocked, trail, automaton.sim_state(state))
         while path and (nxt := next(path[-1][2], None)) is None:
             memo.add(path.pop()[1])
         if not path:
@@ -279,7 +329,7 @@ def simulate(
     """
     entries = tape.entries if isinstance(tape, DecisionTape) else tuple(bool(b) for b in tape)
 
-    def follow_tape(taken: int, residues, step: DecisionStep) -> int | None:
+    def follow_tape(taken: int, state: State, step: DecisionStep) -> int | None:
         return taken + 1 if _tape_entry(entries, taken) == step.enter else None
 
     return _explore(locals_, 0, follow_tape, state_limit, por)
@@ -303,16 +353,16 @@ def explore_all_tapes(
     if max_loop_iters < 0:
         raise ValueError(f"max_loop_iters must be >= 0, got {max_loop_iters}")
 
-    def bound_loops(stack: tuple, residues, step: DecisionStep) -> tuple | None:
+    def bound_loops(stack: tuple, state: State, step: DecisionStep) -> tuple | None:
         if step.kind == "choice":
             return stack
-        entries = stack[-1][1] if stack and stack[-1][0] == residues else 0
+        entries = stack[-1][1] if stack and stack[-1][0] == state else 0
         outer = stack[:-1] if entries else stack
         if not step.enter:
             return outer
         if entries >= max_loop_iters:
             return None
-        return outer + ((residues, entries + 1),)
+        return outer + ((state, entries + 1),)
 
     return _explore(locals_, (), bound_loops, state_limit, por)
 
@@ -328,12 +378,13 @@ def replay(locals_: Sequence[LocalType], trail: Sequence[Step]) -> SimState:
     Each step must be enabled where it occurs; a ValueError otherwise
     means the trail does not belong to these local types.
     """
-    residues = tuple(locals_)
+    automaton = _Automaton(locals_)
+    state = automaton.start
     for i, wanted in enumerate(trail):
-        residues = next((nxt for step, nxt in _successors(residues) if step == wanted), None)
-        if residues is None:
+        state = next((nxt for step, nxt in automaton.successors(state) if step == wanted), None)
+        if state is None:
             raise ValueError(f"witness step {i + 1} ({wanted!r}) is not enabled")
-    return SimState(residues)
+    return automaton.sim_state(state)
 
 
 def format_trail(trail: Sequence[Step]) -> str:

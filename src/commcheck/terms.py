@@ -196,14 +196,32 @@ class End:
 
 class _Node:
     """A prefix, loop or choice node, with `cont` as its last field. It is
-    hashed once, at construction, so hashing never walks the spine; each
-    node class names `__hash__` so that `@dataclass` keeps it."""
+    hashed once, at construction, so hashing never walks the spine, and
+    `==` walks both spines in one loop; each node class names `__hash__`
+    and `__eq__` so that `@dataclass` keeps them."""
 
     def __post_init__(self):
         object.__setattr__(self, "_hash", hash(self.__reduce__()[1]))
 
     def __hash__(self):
         return self._hash
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        a, b = self, other
+        while a is not b:
+            if type(a) is not type(b):
+                return False
+            if not isinstance(a, _Node):
+                return a == b  # the closing `end`
+            if a._hash != b._hash:
+                return False
+            fields_a, fields_b = a.__reduce__()[1], b.__reduce__()[1]
+            if fields_a[:-1] != fields_b[:-1]:
+                return False
+            a, b = fields_a[-1], fields_b[-1]
+        return True
 
     def __reduce__(self):
         # Class and fields, `cont` last; pickles rebuild through it, so hashes are recomputed.
@@ -215,6 +233,7 @@ class Prefix(_Node):
     atom: Atom
     cont: TypeTerm
     __hash__ = _Node.__hash__
+    __eq__ = _Node.__eq__
 
 
 @dataclass(frozen=True)
@@ -228,6 +247,7 @@ class Loop(_Node):
     body: TypeTerm
     cont: TypeTerm
     __hash__ = _Node.__hash__
+    __eq__ = _Node.__eq__
 
 
 @dataclass(frozen=True)
@@ -238,6 +258,7 @@ class Choice(_Node):
     false_branch: TypeTerm
     cont: TypeTerm
     __hash__ = _Node.__hash__
+    __eq__ = _Node.__eq__
 
 
 TypeTerm = Union[End, Prefix, Loop, Choice]

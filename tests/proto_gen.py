@@ -30,6 +30,8 @@ from commcheck.terms import (
     Send,
     TypeTerm,
     comm_of,
+    rebuild,
+    spine,
 )
 from commcheck.typestate import Action
 
@@ -181,3 +183,52 @@ def random_local_term(
 
 def random_action(rng: random.Random, num_procs: int = 4) -> Action:
     return comm_of(random_local_atom(rng, num_procs))
+
+
+# ---------------------------------------------------------------------------
+# mutations of projected views, for the deadlock oracle
+# ---------------------------------------------------------------------------
+
+
+def _swap_sites(t: TypeTerm, inside: bool) -> int:
+    nodes = spine(t)
+    sites = 0
+    if inside:
+        sites = sum(isinstance(a, Prefix) and isinstance(b, Prefix) for a, b in zip(nodes, nodes[1:]))
+    for node in nodes:
+        if isinstance(node, Loop):
+            sites += _swap_sites(node.body, True)
+        elif isinstance(node, Choice):
+            sites += _swap_sites(node.true_branch, True) + _swap_sites(node.false_branch, True)
+    return sites
+
+
+def _swap(t: TypeTerm, inside: bool, target: list[int]) -> TypeTerm:
+    # `target[0]` counts down the sites passed, in the order `_swap_sites` counts them.
+    nodes = spine(t)
+    heads: list[tuple] = []
+    i = 0
+    while i < len(nodes):
+        node = nodes[i]
+        if inside and isinstance(node, Prefix) and i + 1 < len(nodes) and isinstance(nodes[i + 1], Prefix):
+            target[0] -= 1
+            if target[0] == -1:
+                heads += [(Prefix, nodes[i + 1].atom), (Prefix, node.atom)]
+                i += 2
+                continue
+        if isinstance(node, Prefix):
+            heads.append((Prefix, node.atom))
+        elif isinstance(node, Loop):
+            heads.append((Loop, _swap(node.body, True, target)))
+        else:
+            heads.append((Choice, _swap(node.true_branch, True, target), _swap(node.false_branch, True, target)))
+        i += 1
+    return rebuild(heads)
+
+
+def swap_adjacent_atoms(rng: random.Random, view: LocalType) -> LocalType | None:
+    """`view` with two adjacent atoms swapped at one place, chosen at
+    random, inside a loop body or a choice branch; None if it has no
+    such place."""
+    sites = _swap_sites(view, False)
+    return _swap(view, False, [rng.randrange(sites)]) if sites else None

@@ -3,8 +3,8 @@ recursion limit, and the deepest loop nesting the parser accepts.
 
 A stage that recurses along the spine raises RecursionError here, and
 one that rehashes deep terms blows the time budget, which is generous.
-Long terms are never compared with `==` or shown with `repr`: both
-still recurse along the spine, so every assertion reads plain values.
+Long terms are never shown with `repr`, which still recurses along the
+spine, so every assertion that could fail reads plain values.
 """
 
 from __future__ import annotations
@@ -104,6 +104,33 @@ def test_library_walks_on_hundred_thousand_message_views():
     assert (text.count("\n"), text.endswith("\nend")) == (n, True)
     verdict = simulate([sender, receiver], [])
     assert verdict == AllDone(n + 1)
+    assert time.perf_counter() - start < BUDGET_S
+
+
+def test_equal_hundred_thousand_message_views_built_apart_compare_equal():
+    n = 100_000
+    atoms = [Send(Lit(1), DataKind.INT, Lit(k)) for k in range(5)]
+    views = []
+    for _ in range(2):
+        view = End()
+        for i in range(n):
+            view = Prefix(atoms[i % 5], view)
+        views.append(view)
+    first, second = views
+    different = Prefix(Receive(Lit(1), DataKind.INT, Lit(0)), second.cont)
+    assert (first is second, first == second, first != second) == (False, True, False)
+    assert (first == different, first == second.cont) == (False, False)
+
+
+def test_simulate_a_choice_between_two_equal_long_branches(tmp_path, capsys):
+    # The two branches are equal, distinct terms, and the search numbers
+    # each residue by comparing them.
+    branch = "".join(f"message(0,1,MPI_INT,{i % 5})." for i in range(3000)) + "end"
+    cty = tmp_path / "choice.cty"
+    cty.write_text(f"nprocs 2.\nchoice({branch},{branch}).end\n")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "simulate", cty)
+    assert (code, out, err) == (EXIT_OK, "verdict: all-done (3002 states explored)\n", "")
     assert time.perf_counter() - start < BUDGET_S
 
 

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from commcheck import sim
 from commcheck.parser import parse_local_term, parse_protocol
 from commcheck.projection import project_all
 from commcheck.sim import (
@@ -140,6 +141,28 @@ def test_non_ground_types_rejected():
         simulate(ensemble("send(1,MPI_INT,n).end", "receive(0,MPI_INT,n).end"), [])
 
 
+def test_a_non_ground_atom_is_read_only_when_the_search_reaches_it():
+    # behind a deadlock the search stops at, it is never read
+    behind = ensemble("send(1,MPI_INT,1).send(1,MPI_INT,n).end", "send(0,MPI_INT,1).end")
+    verdict = explore_all_tapes(behind, 2)
+    assert isinstance(verdict, Deadlock)
+    assert verdict.blocked == (
+        "blocked sending to rank 1 (MPI_INT, len 1)",
+        "blocked sending to rank 0 (MPI_INT, len 1)",
+    )
+    # reached after a step and a loop entry, it raises as it always has
+    reached = ensemble(
+        "send(1,MPI_INT,1).loop(send(1,MPI_INT,n).end).end",
+        "receive(0,MPI_INT,1).loop(receive(0,MPI_INT,n).end).end",
+    )
+    message = "local atom is not ground; project or ground_term it first"
+    with pytest.raises(ValueError, match=message):
+        explore_all_tapes(reached, 2)
+    with pytest.raises(ValueError, match=message):
+        simulate(reached, loop_tape(1))
+    assert isinstance(simulate(reached, loop_tape(0)), AllDone)
+
+
 # -- decisions and tapes ---------------------------------------------------------
 
 
@@ -243,6 +266,30 @@ def test_explore_all_tapes_bounds_loop_unfolding():
     texts = ["loop(allreduce(MPI_INT,1,MPI_SUM).end).end"] * 2
     verdict = explore_all_tapes(ensemble(*texts), 3)
     assert isinstance(verdict, AllDone)
+
+
+def test_each_head_and_each_unfolding_is_built_once_per_search(monkeypatch):
+    # 16 ranks in 8 disjoint pairs, one message per pair in one loop
+    proto = parse_protocol(
+        "nprocs 16. loop("
+        + "".join(f"message({r},{r + 1},MPI_INT,1)." for r in range(0, 16, 2))
+        + "end).end"
+    )
+    views = list(project_all(proto, {}))
+    calls = {"comm_of": 0, "concat": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(sim, name, counted(name, getattr(sim, name)))
+    assert explore_all_tapes(views, 2) == AllDone(514)
+    # one prefix and one loop residue per rank
+    assert calls["comm_of"] <= 16 and calls["concat"] <= 16, calls
 
 
 def test_explore_all_tapes_rejects_a_negative_loop_bound():
