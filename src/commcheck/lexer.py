@@ -1,9 +1,16 @@
-"""Tokenizer shared by the protocol and program parsers."""
+"""Tokenizer shared by the protocol and program parsers.
+
+`tokenize` scans the text in one pass of one regular expression. A
+token keeps its start offset and the text's line-start offsets, which
+are found once per call; its `pos` is computed on read, by bisection
+over the line starts. So the lexer builds no `Pos`, and the parsers
+pay for one only where they store or report a position.
+"""
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from bisect import bisect_right
 
 from .exprs import Pos
 
@@ -21,20 +28,40 @@ class ParseError(Exception):
         self.bare_message = message
 
 
-@dataclass(frozen=True)
 class Token:
-    kind: str  # "ident", "int", "punct", or "eof"
-    text: str
-    pos: Pos
+    """One lexeme: `kind` is "ident", "int", "punct" or "eof"."""
+
+    __slots__ = ("kind", "text", "offset", "line_starts")
+
+    def __init__(self, kind: str, text: str, offset: int, line_starts: list[int]):
+        self.kind = kind
+        self.text = text
+        self.offset = offset
+        self.line_starts = line_starts  # shared by every token of one text
+
+    @property
+    def pos(self) -> Pos:
+        return _pos(self.line_starts, self.offset)
+
+    def __repr__(self) -> str:
+        return f"Token({self.kind!r}, {self.text!r}, {self.pos})"
 
 
-# Multi-character operators must come before their single-char prefixes.
+def _pos(line_starts: list[int], offset: int) -> Pos:
+    line = bisect_right(line_starts, offset)
+    return Pos(line, offset - line_starts[line - 1] + 1)
+
+
+# Multi-character operators must come before their single-char prefixes;
+# `bad` catches any character the other groups cannot start with.
 _TOKEN = re.compile(
     r"(?P<ws>\s+)"
     r"|(?P<comment>//[^\n]*)"
     r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
     r"|(?P<int>\d+)"
     r"|(?P<punct>==|!=|<=|>=|&&|\|\||[(){}\[\],.:|<>!=+\-*/%])"
+    r"|(?P<bad>.)",
+    re.S,
 )
 
 
@@ -43,24 +70,18 @@ def tokenize(text: str) -> list[Token]:
 
     Raises ParseError on any character outside the language's alphabet.
     """
+    line_starts = [0]
+    i = text.find("\n")
+    while i >= 0:
+        line_starts.append(i + 1)
+        i = text.find("\n", i + 1)
     toks: list[Token] = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        m = _TOKEN.match(text, i)
-        if m is None:
-            raise ParseError(Pos(line, col), f"unexpected character {text[i]!r}")
-        lexeme = m.group(0)
-        group = m.lastgroup
-        if group not in ("ws", "comment"):
-            kind = "punct" if group == "punct" else group
-            toks.append(Token(kind, lexeme, Pos(line, col)))
-        newlines = lexeme.count("\n")
-        if newlines:
-            line += newlines
-            col = len(lexeme) - lexeme.rfind("\n")
-        else:
-            col += len(lexeme)
-        i = m.end()
-    toks.append(Token("eof", "", Pos(line, col)))
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind in ("ws", "comment"):
+            continue
+        if kind == "bad":
+            raise ParseError(_pos(line_starts, m.start()), f"unexpected character {m.group()!r}")
+        toks.append(Token(kind, m.group(), m.start(), line_starts))
+    toks.append(Token("eof", "", len(text), line_starts))
     return toks

@@ -197,8 +197,8 @@ class End:
 class _Node:
     """A prefix, loop or choice node, with `cont` as its last field. It is
     hashed once, at construction, so hashing never walks the spine, and
-    `==` walks both spines in one loop; each node class names `__hash__`
-    and `__eq__` so that `@dataclass` keeps them."""
+    `==` and `repr` walk the spine in one loop; each node class names
+    `__hash__`, `__eq__` and `__repr__` so that `@dataclass` keeps them."""
 
     def __post_init__(self):
         object.__setattr__(self, "_hash", hash(self.__reduce__()[1]))
@@ -223,6 +223,19 @@ class _Node:
             a, b = fields_a[-1], fields_b[-1]
         return True
 
+    def __repr__(self):
+        # The dataclass-generated text, `Prefix(atom=..., cont=...)`,
+        # written along the spine with the closing parentheses last.
+        parts, depth, t = [], 0, self
+        while isinstance(t, _Node):
+            names, values = t.__match_args__, t.__reduce__()[1]
+            parts.append(type(t).__qualname__ + "(")
+            parts.extend(f"{name}={value!r}, " for name, value in zip(names[:-1], values))
+            parts.append("cont=")
+            depth += 1
+            t = values[-1]
+        return "".join(parts) + repr(t) + ")" * depth
+
     def __reduce__(self):
         # Class and fields, `cont` last; pickles rebuild through it, so hashes are recomputed.
         return type(self), tuple(getattr(self, f) for f in self.__match_args__)
@@ -234,6 +247,7 @@ class Prefix(_Node):
     cont: TypeTerm
     __hash__ = _Node.__hash__
     __eq__ = _Node.__eq__
+    __repr__ = _Node.__repr__
 
 
 @dataclass(frozen=True)
@@ -248,6 +262,7 @@ class Loop(_Node):
     cont: TypeTerm
     __hash__ = _Node.__hash__
     __eq__ = _Node.__eq__
+    __repr__ = _Node.__repr__
 
 
 @dataclass(frozen=True)
@@ -259,6 +274,7 @@ class Choice(_Node):
     cont: TypeTerm
     __hash__ = _Node.__hash__
     __eq__ = _Node.__eq__
+    __repr__ = _Node.__repr__
 
 
 TypeTerm = Union[End, Prefix, Loop, Choice]

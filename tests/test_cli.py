@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from commcheck.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, main
@@ -401,6 +403,58 @@ def test_syntax_error_line_for_every_atom_and_statement_kind(ring, capsys, name,
         ".mmp": ["verify", str(path), str(ring / "ring.cty"), "--param", "size=9"],
     }[path.suffix]
     assert run(capsys, *argv) == (EXIT_FAIL, "", f"{path}: syntax error: {message}\n")
+
+
+_MALFORMED = Path(__file__).parent / "malformed"
+
+
+@pytest.mark.parametrize(
+    "name, message",
+    [
+        ("at_line_start.cty", "2:1: unexpected character '@'"),
+        ("at_line_start.clt", "2:1: unexpected character '`'"),
+        ("at_line_start.mmp", "3:1: unexpected character '^'"),
+        ("after_tab.cty", "2:2: unexpected character '#'"),
+        ("after_tab.clt", "3:3: unexpected character '\"'"),
+        ("after_tab.mmp", "3:26: unexpected character ';'"),
+        ("after_comment.cty", "2:1: unexpected character '$'"),
+        ("after_comment.clt", "3:1: unexpected character \"'\""),
+        ("after_comment.mmp", "4:1: unexpected character '#'"),
+        ("last_line_no_newline.cty", "2:5: unexpected character '~'"),
+        ("last_line_no_newline.clt", "3:1: unexpected character '\\\\'"),
+        ("last_line_no_newline.mmp", "3:10: unexpected character '@'"),
+        ("crlf_lines.cty", "3:5: unexpected character '?'"),
+        ("accented_ident.cty", "1:10: unexpected character 'é'"),
+        ("after_unicode_digit.cty", "2:27: unexpected character ';'"),
+        ("empty.cty", "1:1: unexpected end of input (expected 'nprocs')"),
+        ("only_comment.cty", "1:25: unexpected end of input (expected 'nprocs')"),
+        ("cut_in_atom.cty", f"2:21: unexpected end of input {_NOT_EXPR}"),
+        (
+            "trailing_comment_cut.cty",
+            f"2:36: unexpected end of input {_ATOMS}'message' or 'scatter' or 'gather'"
+            " or 'bcast' or 'allreduce')",
+        ),
+        (
+            "cut_in_loop.clt",
+            f"2:1: unexpected end of input {_ATOMS}'send' or 'receive' or 'scatter'"
+            " or 'gather' or 'bcast' or 'allreduce')",
+        ),
+        ("cut_after_init.mmp", "1:1: program must contain 'finalize'"),
+        ("int_out_of_range.cty", "2:21: integer literal 99999999999999999999 out of range"),
+        ("nprocs_out_of_range.cty", "1:8: integer literal 9223372036854775808 out of range"),
+        ("int_out_of_range.clt", "1:16: integer literal 18446744073709551616 out of range"),
+        ("int_out_of_range.mmp", "3:23: integer literal 99999999999999999999 out of range"),
+        ("deep_loops.cty", "2:1001: nesting too deep"),
+        ("deep_parens.clt", "1:215: nesting too deep"),
+        ("deep_blocks.mmp", "203:10: nesting too deep"),
+        ("reserved_param.cty", "1:4: 'loop' is reserved"),
+        ("reserved_keyword.mmp", "1:8: 'send' is reserved"),
+        ("reserved_predefined.mmp", "1:7: 'me' is predefined and cannot be declared"),
+    ],
+)
+def test_syntax_error_line_for_each_malformed_file(ring, capsys, name, message):
+    text = (_MALFORMED / name).read_text()
+    test_syntax_error_line_for_every_atom_and_statement_kind(ring, capsys, name, text, message)
 
 
 def test_an_internal_error_exits_2_with_one_line(ring, capsys, monkeypatch):

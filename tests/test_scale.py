@@ -3,8 +3,6 @@ recursion limit, and the deepest loop nesting the parser accepts.
 
 A stage that recurses along the spine raises RecursionError here, and
 one that rehashes deep terms blows the time budget, which is generous.
-Long terms are never shown with `repr`, which still recurses along the
-spine, so every assertion that could fail reads plain values.
 """
 
 from __future__ import annotations
@@ -120,6 +118,16 @@ def test_equal_hundred_thousand_message_views_built_apart_compare_equal():
     different = Prefix(Receive(Lit(1), DataKind.INT, Lit(0)), second.cont)
     assert (first is second, first == second, first != second) == (False, True, False)
     assert (first == different, first == second.cont) == (False, False)
+
+
+def test_repr_of_a_hundred_thousand_message_view():
+    n = 100_000
+    view = End()
+    for _ in range(n):
+        view = Prefix(Send(Lit(1), DataKind.INT, Lit(2)), view)
+    text = repr(view)
+    assert text.count("Prefix(atom=Send(") == n
+    assert text.endswith("cont=End()" + ")" * n)
 
 
 def test_simulate_a_choice_between_two_equal_long_branches(tmp_path, capsys):

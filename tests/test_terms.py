@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import hashlib
 import os
 import random
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import commcheck
@@ -24,7 +26,7 @@ from commcheck.terms import (
     spine,
 )
 
-from proto_gen import random_local_term
+from proto_gen import random_local_term, random_protocol
 
 
 def lt(text):
@@ -129,6 +131,30 @@ def test_spine_and_rebuild_are_inverse():
         assert all(not isinstance(n, End) for n in nodes)
         assert rebuild(nodes) == t
         assert hash(rebuild(nodes)) == hash(t)
+
+
+# sha256 of the reprs of the terms in the test below, joined by
+# newlines, as the dataclass-generated `__repr__` wrote them.
+_REPR_DIGEST = "1afa818db9b4614aa7100e28b8e1b68e9500631bf0a08d0ad02fe59010efb43d"
+
+
+def dataclass_repr(t):
+    """The text `@dataclass` generates for a node: its class name and
+    `name=value` for each field, recursing into the node fields."""
+    if not isinstance(t, (Prefix, Loop, Choice)):
+        return repr(t)
+    args = ", ".join(f"{f.name}={dataclass_repr(getattr(t, f.name))}" for f in fields(t) if f.repr)
+    return f"{type(t).__qualname__}({args})"
+
+
+def test_repr_is_the_dataclass_text():
+    terms = []
+    for seed in range(100):
+        terms.append(random_protocol(random.Random(seed))[0].body)
+        terms.append(random_local_term(random.Random(seed)))
+    texts = [repr(t) for t in terms]
+    assert texts == [dataclass_repr(t) for t in terms]
+    assert hashlib.sha256("\n".join(texts).encode()).hexdigest() == _REPR_DIGEST
 
 
 # Pickles a term, or reads one back and reports whether it is a member
