@@ -14,13 +14,17 @@ which print one `error: internal error: ...` line instead of a traceback.
 Human-readable diagnostics go to stderr. With --report, one
 machine-readable line per diagnostic goes to stdout in the form
 `rank:line.col:code:message` (rank `-` for whole-protocol findings).
+
+The argument parser is built once per process, on the first call of
+`main`, and reused by every later call; importing this module builds
+none.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 from .checker import CheckDiagnostic, check_compliance
@@ -323,10 +327,15 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# One parser serves every call of `main`: parsing writes into a fresh
+# Namespace, the append action copies `--param`'s default list before
+# appending, and help and usage read the terminal width when formatted.
+_shared_parser = cache(build_arg_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_arg_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
     except SystemExit as err:
         # argparse exits 2 on bad usage; normalize other exits too.
         return EXIT_USAGE if err.code not in (0, None) else EXIT_OK

@@ -53,7 +53,9 @@ def _pos(line_starts: list[int], offset: int) -> Pos:
 
 
 # Multi-character operators must come before their single-char prefixes;
-# `bad` catches any character the other groups cannot start with.
+# `bad` catches any character the other groups cannot start with. Under
+# re.ASCII only ASCII digits make an integer and only ASCII whitespace
+# separates tokens, so a Unicode digit or space is a foreign character.
 _TOKEN = re.compile(
     r"(?P<ws>\s+)"
     r"|(?P<comment>//[^\n]*)"
@@ -61,7 +63,7 @@ _TOKEN = re.compile(
     r"|(?P<int>\d+)"
     r"|(?P<punct>==|!=|<=|>=|&&|\|\||[(){}\[\],.:|<>!=+\-*/%])"
     r"|(?P<bad>.)",
-    re.S,
+    re.S | re.A,
 )
 
 

@@ -319,7 +319,7 @@ class _ProgramParser(BaseParser):
         if len(inits) > 1:
             raise ParseError(inits[1].pos or Pos(1, 1), "duplicate 'init'")
         if not finals:
-            raise ParseError(Pos(1, 1), "program must contain 'finalize'")
+            raise ParseError(self.peek().pos, "program must contain 'finalize'")
         if len(finals) > 1:
             raise ParseError(finals[1].pos or Pos(1, 1), "duplicate 'finalize'")
         if not isinstance(prog.body[-1], Finalize):

@@ -185,6 +185,10 @@ class _Automaton:
     - choice: "choice", then the numbers of each branch grafted before
       the continuation;
     - end: None, and no moves.
+
+    A send's step, and the receive it waits for, depend only on the
+    sender rank and the sender's residue, so each is built once per
+    pair of them, in `sends`.
     """
 
     def __init__(self, locals_: Sequence[LocalType]):
@@ -192,6 +196,7 @@ class _Automaton:
         self.terms: list[LocalType] = []
         self.rows: list[tuple | None] = []
         self.start: State = tuple(self._intern(t) for t in locals_)
+        self.sends: list[dict[int, tuple | None]] = [{} for _ in self.start]
 
     def _intern(self, t: LocalType) -> int:
         i = self.number.get(t)
@@ -217,30 +222,42 @@ class _Automaton:
         self.rows[i] = row
         return row
 
+    def _send(self, sender: int, i: int) -> tuple | None:
+        """`(receiver, awaited receive, step)` for the send at the head of
+        residue `i` on rank `sender`, or None if there is none to pair."""
+        send = self.rows[i][0]
+        entry = None
+        if type(send) is Comm and send.kind == "send":
+            receiver = send.peer
+            if 0 <= receiver < len(self.start) and receiver != sender:
+                awaited = Comm("receive", sender, send.dtype, send.count)
+                entry = (receiver, awaited, P2PStep(sender, receiver, send.dtype, send.count))
+        self.sends[sender][i] = entry
+        return entry
+
     def successors(self, state: State) -> list[tuple[Step, State]]:
         """Every enabled step with the state it leads to, in a fixed
         deterministic order: the collective (if any), then p2p pairs by
         sender rank, then the decision, enter before skip."""
         rows = [self.rows[i] or self._row(i) for i in state]
         heads = [row[0] for row in rows]
-        n = len(state)
         out: list[tuple[Step, State]] = []
 
         first = heads[0]
         if type(first) is Comm and first.kind in _COLLECTIVES and all(h == first for h in heads):
             out.append((first, tuple(row[1] for row in rows)))
 
-        for sender, send in enumerate(heads):
-            if type(send) is not Comm or send.kind != "send":
+        for sender, i in enumerate(state):
+            sends = self.sends[sender]
+            send = sends[i] if i in sends else self._send(sender, i)
+            if send is None:
                 continue
-            receiver = send.peer
-            if not (0 <= receiver < n) or receiver == sender:
-                continue
-            if heads[receiver] == Comm("receive", sender, send.dtype, send.count):
+            receiver, awaited, step = send
+            if heads[receiver] == awaited:
                 nxt = list(state)
                 nxt[sender] = rows[sender][1]
                 nxt[receiver] = rows[receiver][1]
-                out.append((P2PStep(sender, receiver, send.dtype, send.count), tuple(nxt)))
+                out.append((step, tuple(nxt)))
 
         if first in _DECISIONS and all(h == first for h in heads):
             out.append((DecisionStep(first, True), tuple(row[1] for row in rows)))

@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from commcheck.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, main
+import commcheck
+from commcheck.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, build_arg_parser, main
 from commcheck.parser import parse_local_term
 from commcheck.sim import parse_trail
 from commcheck.terms import ground_term
@@ -425,7 +430,9 @@ _MALFORMED = Path(__file__).parent / "malformed"
         ("last_line_no_newline.mmp", "3:10: unexpected character '@'"),
         ("crlf_lines.cty", "3:5: unexpected character '?'"),
         ("accented_ident.cty", "1:10: unexpected character 'é'"),
-        ("after_unicode_digit.cty", "2:27: unexpected character ';'"),
+        ("after_unicode_digit.cty", "1:8: unexpected character '٣'"),
+        ("nbsp_between_tokens.cty", "2:24: unexpected character '\\xa0'"),
+        ("line_separator_between_tokens.mmp", "3:18: unexpected character '\\u2028'"),
         ("empty.cty", "1:1: unexpected end of input (expected 'nprocs')"),
         ("only_comment.cty", "1:25: unexpected end of input (expected 'nprocs')"),
         ("cut_in_atom.cty", f"2:21: unexpected end of input {_NOT_EXPR}"),
@@ -439,7 +446,7 @@ _MALFORMED = Path(__file__).parent / "malformed"
             f"2:1: unexpected end of input {_ATOMS}'send' or 'receive' or 'scatter'"
             " or 'gather' or 'bcast' or 'allreduce')",
         ),
-        ("cut_after_init.mmp", "1:1: program must contain 'finalize'"),
+        ("cut_after_init.mmp", "3:1: program must contain 'finalize'"),
         ("int_out_of_range.cty", "2:21: integer literal 99999999999999999999 out of range"),
         ("nprocs_out_of_range.cty", "1:8: integer literal 9223372036854775808 out of range"),
         ("int_out_of_range.clt", "1:16: integer literal 18446744073709551616 out of range"),
@@ -465,6 +472,145 @@ def test_an_internal_error_exits_2_with_one_line(ring, capsys, monkeypatch):
     code, out, err = run(capsys, "simulate", str(ring / "ring.cty"), "--param", "size=9")
     assert (code, out) == (EXIT_USAGE, "")
     assert err == "error: internal error: RecursionError: maximum recursion depth exceeded\n"
+
+
+# -- one parser per process ------------------------------------------------------
+
+# Counts the argparse parsers built in a fresh interpreter: after the
+# import, then after each of 20 calls of `main`.
+_COUNT_PARSERS = """
+import argparse, io, sys
+from contextlib import redirect_stderr, redirect_stdout
+
+built = 0
+base_init = argparse.ArgumentParser.__init__
+
+def counting_init(self, *args, **kwargs):
+    global built
+    built += 1
+    base_init(self, *args, **kwargs)
+
+argparse.ArgumentParser.__init__ = counting_init
+import commcheck.cli
+counts = [built]
+cty, absent = sys.argv[1:]
+calls = [
+    ["validate", cty, "--param", "size=9"],
+    ["simulate", cty, "--param", "size=9", "--report"],
+    ["verify", "--help"],
+    ["bogus"],
+    ["validate", absent],
+]
+for k in range(20):
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        commcheck.cli.main(calls[k % len(calls)])
+    counts.append(built)
+print(counts)
+"""
+
+
+@pytest.fixture(scope="module")
+def parsers_built(tmp_path_factory) -> list[int]:
+    # The child imports the same package as this process, installed or not.
+    src = str(Path(commcheck.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    cty = tmp_path_factory.mktemp("count") / "ring.cty"
+    cty.write_text(bundled_text("fdiff.cty"))
+    proc = subprocess.run(
+        [sys.executable, "-c", _COUNT_PARSERS, str(cty), str(cty.parent / "absent.cty")],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_importing_the_cli_builds_no_parser(parsers_built):
+    assert parsers_built[0] == 0
+
+
+def test_twenty_calls_build_the_parser_tree_once(parsers_built):
+    # the root parser and one per subcommand, all on the first call
+    assert parsers_built[1:] == [5] * 20
+
+
+def test_no_option_carries_over_to_the_next_call(ring, capsys):
+    cty = str(ring / "ring.cty")
+    assert run(capsys, "validate", cty, "--param", "size=9", "--param", "a=1") == (
+        EXIT_FAIL, "", f"{cty}: [unknown-parameter] 'a' is not a protocol parameter (at params)\n"
+    )
+    assert run(capsys, "validate", cty, "--param", "size=9") == (
+        EXIT_OK, f"{cty}: well-formed for 3 processes\n", ""
+    )
+    assert run(capsys, "validate", cty) == (
+        EXIT_USAGE,
+        "",
+        "error: missing value(s) for protocol parameter(s): size (use --param name=value)\n",
+    )
+    code, out, _ = run(capsys, "validate", cty, "--param", "size=7", "--report")
+    assert (code, out) == (
+        EXIT_FAIL, "-:5.4:refinement-violated:value 7 does not satisfy the kind of 'size'\n"
+    )
+    code, out, _ = run(capsys, "validate", cty, "--param", "size=7")
+    assert (code, out) == (EXIT_FAIL, "")
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        ["simulate", "{cty}", "--param", "size=9", "--max-loop-iters", "-1"],
+        ["bogus", "{cty}"],
+        ["validate", "{absent}", "--param", "size=9", "--report"],
+        ["verify", "{cty}"],
+    ],
+)
+def test_a_usage_error_leaves_the_next_call_unchanged(ring, capsys, bad):
+    cty = str(ring / "ring.cty")
+    good = ("verify", str(ring / "ring.mmp"), cty, "--param", "size=9")
+    want = (EXIT_OK, f"{ring / 'ring.mmp'}: compliant with {cty} on all 3 ranks\n", "")
+    assert run(capsys, *good) == want
+    argv = [arg.format(cty=cty, absent=ring / "absent.cty") for arg in bad]
+    assert run(capsys, *argv)[0] == EXIT_USAGE
+    assert run(capsys, *good) == want
+
+
+_HELP_AND_USAGE_ERRORS = [
+    ["--help"],
+    ["validate", "--help"],
+    ["project", "--help"],
+    ["verify", "--help"],
+    ["simulate", "--help"],
+    [],
+    ["bogus"],
+    ["validate"],
+    ["verify", "a.mmp"],
+    ["simulate", "a.cty", "--max-loop-iters", "-1"],
+    ["simulate", "a.cty", "--state-limit", "many"],
+    ["project", "a.cty", "--unknown"],
+]
+
+
+def _fresh_parse(capsys, argv):
+    """`main`'s result and output, from a freshly built parser."""
+    with pytest.raises(SystemExit) as err:
+        build_arg_parser().parse_args(argv)
+    captured = capsys.readouterr()
+    return EXIT_OK if err.value.code in (0, None) else EXIT_USAGE, captured.out, captured.err
+
+
+def test_the_shared_parser_formats_help_and_usage_errors_like_a_fresh_one(capsys, monkeypatch):
+    main(["--help"])  # the shared parser exists before the width changes
+    capsys.readouterr()
+    seen = {}
+    for columns in ("40", "200"):
+        monkeypatch.setenv("COLUMNS", columns)
+        for argv in _HELP_AND_USAGE_ERRORS:
+            seen[columns, *argv] = run(capsys, *argv)
+            assert seen[columns, *argv] == _fresh_parse(capsys, argv), (columns, argv)
+    # each width shows in the text, so both comparisons mean something
+    for argv in _HELP_AND_USAGE_ERRORS[:5]:
+        assert seen["40", *argv] != seen["200", *argv], argv
 
 
 # -- module entry point -----------------------------------------------------------

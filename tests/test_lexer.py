@@ -20,6 +20,8 @@ _PUNCT2 = ("==", "!=", "<=", ">=", "&&", "||")
 _PUNCT1 = frozenset("(){}[],.:|<>!=+-*/%")
 _IDENT_START = frozenset(string.ascii_letters + "_")
 _IDENT = _IDENT_START | frozenset(string.digits)
+_DIGIT = frozenset(string.digits)
+_SPACE = frozenset(" \t\n\r\f\v")
 
 
 def reference_pos(text: str, offset: int) -> tuple[int, int]:
@@ -33,8 +35,8 @@ def reference_scan(text: str):
     i, n = 0, len(text)
     while i < n:
         ch, j = text[i], i + 1
-        if ch.isspace():
-            while j < n and text[j].isspace():
+        if ch in _SPACE:
+            while j < n and text[j] in _SPACE:
                 j += 1
         elif text.startswith("//", i):
             j = text.find("\n", i)
@@ -43,8 +45,8 @@ def reference_scan(text: str):
             while j < n and text[j] in _IDENT:
                 j += 1
             toks.append(("ident", text[i:j], i))
-        elif ch.isdecimal():
-            while j < n and text[j].isdecimal():
+        elif ch in _DIGIT:
+            while j < n and text[j] in _DIGIT:
                 j += 1
             toks.append(("int", text[i:j], i))
         elif text[i:i + 2] in _PUNCT2:

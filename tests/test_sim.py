@@ -292,6 +292,25 @@ def test_each_head_and_each_unfolding_is_built_once_per_search(monkeypatch):
     assert calls["comm_of"] <= 16 and calls["concat"] <= 16, calls
 
 
+def test_each_send_step_is_built_once_per_sender_and_residue(monkeypatch):
+    # 8 disjoint pairs in one loop: 514 states, one send residue per sender
+    proto = parse_protocol(
+        "nprocs 16. loop("
+        + "".join(f"message({r},{r + 1},MPI_INT,1)." for r in range(0, 16, 2))
+        + "end).end"
+    )
+    views = list(project_all(proto, {}))
+    built = []
+
+    def counting_step(*args):
+        built.append(args)
+        return P2PStep(*args)
+
+    monkeypatch.setattr(sim, "P2PStep", counting_step)
+    assert explore_all_tapes(views, 2) == AllDone(514)
+    assert sorted(built) == [(r, r + 1, DataKind.INT, 1) for r in range(0, 16, 2)]
+
+
 def test_explore_all_tapes_rejects_a_negative_loop_bound():
     with pytest.raises(ValueError):
         explore_all_tapes(ensemble("loop(end).end", "loop(end).end"), -1)
