@@ -119,10 +119,10 @@ def check_compliance(prog: Program, protocol: Protocol, inst: Env) -> CheckRepor
 
     reports: list[RankReport] = []
     traces: list[tuple[tuple[str, int], ...]] = []
+    missing = [name for name in prog.params if name not in inst]
     for rank in range(protocol.num_procs):
-        state = _RankState(rank, {}, {}, [], [])
-        state.env = {"me": rank, "np": protocol.num_procs}
-        missing = [name for name in prog.params if name not in inst]
+        env = {"me": rank, "np": protocol.num_procs}
+        state = _RankState(rank, env, {}, [], [])
         if missing:
             state.diagnostics.append(
                 CheckDiagnostic(
@@ -132,14 +132,12 @@ def check_compliance(prog: Program, protocol: Protocol, inst: Env) -> CheckRepor
                 )
             )
         else:
-            for name in prog.params:
-                state.env[name] = inst[name]
+            env.update((name, inst[name]) for name in prog.params)
             local = project(protocol, inst, rank)
             try:
-                residual = _walk(prog.body, local, state)
-                # The walk ends at the finalize statement, which already
-                # checked the residual; nothing further to do here.
-                del residual
+                # The walk ends at the finalize statement, which checks
+                # the residual.
+                _walk(prog.body, local, state)
             except _RankStop:
                 pass
         reports.append(RankReport(rank, state.diagnostics))

@@ -10,7 +10,7 @@ name is an error, never a default.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
 
 INT64_MIN = -(2**63)
@@ -64,13 +64,11 @@ class KindMismatch(ExprError):
 @dataclass(frozen=True)
 class Lit:
     value: int
-    pos: Pos | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class Var:
     name: str
-    pos: Pos | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -78,7 +76,6 @@ class BinOp:
     op: str  # one of + - * / %
     lhs: Expr
     rhs: Expr
-    pos: Pos | None = field(default=None, compare=False, repr=False)
 
 
 Expr = Union[Lit, Var, BinOp]

@@ -173,20 +173,20 @@ class BaseParser:
 
     def _unary_expr(self) -> Expr:
         if self.at_punct("-"):
-            pos = self.bump().pos
+            self.bump()
             operand = self._unary_expr()
             if isinstance(operand, Lit):
-                return Lit(-operand.value, pos=pos)
-            return BinOp("-", Lit(0, pos=pos), operand, pos=pos)
+                return Lit(-operand.value)
+            return BinOp("-", Lit(0), operand)
         return self._atom_expr()
 
     def _atom_expr(self) -> Expr:
         tok = self.peek()
         if tok.kind == "int":
-            return Lit(self.expect_int(), pos=tok.pos)
+            return Lit(self.expect_int())
         if tok.kind == "ident" and tok.text not in self.expr_keywords:
             self.bump()
-            return Var(tok.text, pos=tok.pos)
+            return Var(tok.text)
         if self.eat_punct("("):
             e = self.parse_expr()
             self.expect_punct(")")

@@ -312,32 +312,29 @@ class _ProgramParser(BaseParser):
     # -- structural rules --
 
     def _validate(self, prog: Program) -> None:
+        before_init = (Let, BufferDecl, Compute)
         inits = [s for s in prog.body if isinstance(s, Init)]
         finals = [s for s in prog.body if isinstance(s, Finalize)]
         if not inits:
-            raise ParseError(Pos(1, 1), "program must contain 'init'")
+            # At the first statement that needs an 'init' before it.
+            needs = (s for s in prog.body if not isinstance(s, before_init))
+            raise ParseError(next(needs, self.peek()).pos, "program must contain 'init'")
         if len(inits) > 1:
-            raise ParseError(inits[1].pos or Pos(1, 1), "duplicate 'init'")
+            raise ParseError(inits[1].pos, "duplicate 'init'")
         if not finals:
             raise ParseError(self.peek().pos, "program must contain 'finalize'")
         if len(finals) > 1:
-            raise ParseError(finals[1].pos or Pos(1, 1), "duplicate 'finalize'")
+            raise ParseError(finals[1].pos, "duplicate 'finalize'")
         if not isinstance(prog.body[-1], Finalize):
-            raise ParseError(
-                finals[0].pos or Pos(1, 1), "'finalize' must be the last statement"
-            )
+            raise ParseError(finals[0].pos, "'finalize' must be the last statement")
         init_at = prog.body.index(inits[0])
         for s in prog.body[:init_at]:
-            if not isinstance(s, (Let, BufferDecl, Compute)):
-                raise ParseError(
-                    s.pos or Pos(1, 1), "communication before 'init'"
-                )
+            if not isinstance(s, before_init):
+                raise ParseError(s.pos, "communication before 'init'")
         seen: set[str] = set(prog.params)
         for decl in prog.buffers:
             if decl.name in seen:
-                raise ParseError(
-                    decl.pos or Pos(1, 1), f"duplicate declaration of '{decl.name}'"
-                )
+                raise ParseError(decl.pos, f"duplicate declaration of '{decl.name}'")
             seen.add(decl.name)
 
 

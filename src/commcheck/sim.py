@@ -20,9 +20,10 @@ ValueError only if the search reaches it.
 
 The explorer walks every interleaving depth-first on an explicit stack,
 so a run's length is bounded by memory, not by the recursion limit; a
-deadlock's witness is the steps along the stack. It memoizes on the
-ensemble state plus one control state per mode, which only
-decision steps read and change. Under a fixed tape (`simulate`) it is
+deadlock's witness is the steps along the stack. It marks each key, the
+ensemble state plus one control state per mode, when it first reaches
+it, and counts the marked keys; only decision steps read and change
+the control state. Under a fixed tape (`simulate`) it is
 the number of decisions taken, so the tape gives the next one. In the
 bounded search over every tape (`explore_all_tapes`) it is the stack of
 active loops with their consecutive entries, which caps each loop's
@@ -118,14 +119,11 @@ class DecisionStep:
 Step = Union[P2PStep, Comm, DecisionStep]
 
 
-Residues = tuple[LocalType, ...]  # one residual local type per rank
-
-
 @dataclass(frozen=True)
 class SimState:
     """Residual local types per rank."""
 
-    residues: Residues
+    residues: tuple[LocalType, ...]
 
 
 @dataclass(frozen=True)
@@ -282,7 +280,7 @@ def _explore(
     state_limit: int,
     por: bool,
 ) -> SimVerdict:
-    """Depth-first search memoized on (state, control state).
+    """Depth-first search that visits each (state, control state) key once.
 
     Only decision steps consult the mode's policy: `decide(ctl, state,
     step)` returns the control state after the step, or None when the
@@ -293,18 +291,22 @@ def _explore(
     if state_limit < 1:
         raise ValueError(f"state_limit must be >= 1, got {state_limit}")
     automaton = _Automaton(locals_)
-    memo: set = set()
-    explored = 0
-    # The current path, one frame per state: the step that reached it,
-    # its memo key, and its successors not yet visited. A state is
-    # counted when first visited and memoized when its frame is popped.
+    # Every key reached so far, marked when first reached. No key can
+    # reach itself again: a p2p or collective step consumes a prefix, a
+    # choice consumes its node, a loop skip moves to the continuation,
+    # and a loop entry raises a count or pushes onto the loop-entry
+    # stack. So a key met again is never one still on the path, and
+    # marking on first reach explores what marking on pop would.
+    seen: set = set()
+    # The current path, one frame per state: the step that reached it
+    # and its successors not yet visited.
     path: list = []
     via, key = None, (automaton.start, ctl0)
     while True:
-        if key not in memo:
-            if explored == state_limit:
-                return StateSpaceExceeded(state_limit, explored)
-            explored += 1
+        if key not in seen:
+            if len(seen) == state_limit:
+                return StateSpaceExceeded(state_limit, state_limit)
+            seen.add(key)
             state, ctl = key
             succs = []
             for step, nxt in automaton.successors(state):
@@ -316,16 +318,16 @@ def _explore(
                 # enabled until taken, so exploring one representative per
                 # state preserves reachability of stuck states.
                 succs = [next(s for s in succs if isinstance(s[0], P2PStep))]
-            path.append((via, key, iter(succs)))
+            path.append((via, iter(succs)))
             rows = automaton.rows
             if not succs and any(rows[i][0] is not None for i in state):
                 blocked = tuple(_describe_head(rows[i][0]) for i in state)
                 trail = tuple(frame[0] for frame in path[1:])
                 return Deadlock(blocked, trail, automaton.sim_state(state))
-        while path and (nxt := next(path[-1][2], None)) is None:
-            memo.add(path.pop()[1])
+        while path and (nxt := next(path[-1][1], None)) is None:
+            path.pop()
         if not path:
-            return AllDone(explored)
+            return AllDone(len(seen))
         via, key = nxt
 
 

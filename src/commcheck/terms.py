@@ -4,8 +4,9 @@ Global and local types share the same term constructors (prefix, loop,
 choice, end); they differ only in which atoms may appear at a prefix.
 A global type speaks of messages between two ranks, a local type of
 sends and receives as seen by one rank. Collective atoms occur on both
-sides unchanged. Nodes are frozen dataclasses, so equality is
-structural; source positions never take part in comparisons. Every walk
+sides unchanged. Nodes are frozen dataclasses whose `==`, hash and
+`repr` come from one base class, `_Node`: equality is structural, and
+source positions never take part in comparisons. Every walk
 along a term's continuation spine is a loop over `spine` and `rebuild`;
 only loop bodies and choice branches, whose depth the parser bounds,
 recurse. A node's hash is computed once, when it is built.
@@ -101,7 +102,6 @@ class Allreduce:
     pos: Pos | None = field(default=None, compare=False, repr=False)
 
 
-CollectiveAtom = Union[Scatter, Gather, Bcast, Allreduce]
 GlobalAtom = Union[Message, Scatter, Gather, Bcast, Allreduce]
 LocalAtom = Union[Send, Receive, Scatter, Gather, Bcast, Allreduce]
 Atom = Union[Message, Send, Receive, Scatter, Gather, Bcast, Allreduce]
@@ -197,8 +197,9 @@ class End:
 class _Node:
     """A prefix, loop or choice node, with `cont` as its last field. It is
     hashed once, at construction, so hashing never walks the spine, and
-    `==` and `repr` walk the spine in one loop; each node class names
-    `__hash__`, `__eq__` and `__repr__` so that `@dataclass` keeps them."""
+    `==` and `repr` walk the spine in one loop. The node classes are
+    dataclasses declared with `eq=False, repr=False`, so they inherit
+    these three methods instead of generating their own."""
 
     def __post_init__(self):
         object.__setattr__(self, "_hash", hash(self.__reduce__()[1]))
@@ -241,16 +242,13 @@ class _Node:
         return type(self), tuple(getattr(self, f) for f in self.__match_args__)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Prefix(_Node):
     atom: Atom
     cont: TypeTerm
-    __hash__ = _Node.__hash__
-    __eq__ = _Node.__eq__
-    __repr__ = _Node.__repr__
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Loop(_Node):
     """Collectively decided repetition of `body`, then `cont`.
 
@@ -260,21 +258,15 @@ class Loop(_Node):
 
     body: TypeTerm
     cont: TypeTerm
-    __hash__ = _Node.__hash__
-    __eq__ = _Node.__eq__
-    __repr__ = _Node.__repr__
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Choice(_Node):
     """Collectively decided branch, then `cont` either way."""
 
     true_branch: TypeTerm
     false_branch: TypeTerm
     cont: TypeTerm
-    __hash__ = _Node.__hash__
-    __eq__ = _Node.__eq__
-    __repr__ = _Node.__repr__
 
 
 TypeTerm = Union[End, Prefix, Loop, Choice]

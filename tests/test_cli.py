@@ -447,6 +447,7 @@ _MALFORMED = Path(__file__).parent / "malformed"
             " or 'gather' or 'bcast' or 'allreduce')",
         ),
         ("cut_after_init.mmp", "3:1: program must contain 'finalize'"),
+        ("no_init.mmp", "2:1: program must contain 'init'"),
         ("int_out_of_range.cty", "2:21: integer literal 99999999999999999999 out of range"),
         ("nprocs_out_of_range.cty", "1:8: integer literal 9223372036854775808 out of range"),
         ("int_out_of_range.clt", "1:16: integer literal 18446744073709551616 out of range"),

@@ -7,9 +7,11 @@ import string
 
 import pytest
 
-from commcheck.exprs import BinOp, Cmp, Lit, NatKind, RefinedKind, Var
+import commcheck.lexer
+from commcheck.exprs import BinOp, Cmp, Lit, NatKind, Pos, RefinedKind, Var
 from commcheck.lexer import ParseError, tokenize
 from commcheck.parser import parse_local_term, parse_protocol
+from commcheck.program import parse_program
 from commcheck.printer import format_protocol, format_term
 from commcheck.terms import (
     Allreduce,
@@ -34,6 +36,37 @@ def test_tokenizer_positions():
     toks = tokenize("ab +\n  12")
     assert [(t.kind, t.text) for t in toks[:-1]] == [("ident", "ab"), ("punct", "+"), ("int", "12")]
     assert (toks[2].pos.line, toks[2].pos.col) == (2, 3)
+
+
+def test_parsing_builds_a_position_only_where_one_is_stored(monkeypatch):
+    # Atoms, statements and binders keep a position; expressions do not.
+    built = []
+
+    def counting_pos(line, col):
+        built.append((line, col))
+        return Pos(line, col)
+
+    monkeypatch.setattr(commcheck.lexer, "Pos", counting_pos)
+    n = 1_000
+    pairs = [(k % 3, (k + 1) % 3) for k in range(n)]
+    atoms = "".join(f"message({s},{d},MPI_INT,{k % 9}).\n" for k, (s, d) in enumerate(pairs))
+    parse_protocol("nprocs 3.\n" + atoms + "end\n")
+    assert len(built) <= n + 2
+
+    built.clear()
+    lines = ["buffer b int[8]", "init"]
+    for rank in range(3):
+        lines.append(f"rankif (me == {rank}) {{")
+        for k, (s, d) in enumerate(pairs):
+            if rank == s:
+                lines.append(f"  send peer={d} buf=b len={k % 9}")
+            elif rank == d:
+                lines.append(f"  recv peer={s} buf=b len={k % 9}")
+        lines.append("}")
+    lines.append("finalize")
+    parse_program("\n".join(lines) + "\n")
+    statements = 2 * n + 6  # buffer, init, three rankif, n sends, n receives, finalize
+    assert len(built) <= statements + 2
 
 
 def test_tokenizer_rejects_foreign_characters():

@@ -135,6 +135,21 @@ def test_missing_init():
     assert "init" in err("finalize\n")
 
 
+@pytest.mark.parametrize(
+    "text, line_col",
+    [
+        ("let n = 1\ncompute\nsend peer=1 buf=b len=n\nfinalize\n", (3, 1)),
+        ("buffer b int[1]\n\n  rankif (me == 0) { compute }\nfinalize\n", (3, 3)),
+        ("param n\nlet m = n\n// nothing else\n", (4, 1)),
+        ("", (1, 1)),
+    ],
+)
+def test_missing_init_points_at_the_first_statement_that_needs_it(text, line_col):
+    with pytest.raises(ParseError, match="program must contain 'init'") as excinfo:
+        parse_program(text)
+    assert (excinfo.value.pos.line, excinfo.value.pos.col) == line_col
+
+
 def test_missing_finalize():
     assert "finalize" in err("init\n")
 
