@@ -23,6 +23,7 @@ none.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from functools import cache, partial
 from pathlib import Path
@@ -94,11 +95,16 @@ def _parse_params(pairs: list[str], manifest: str | None) -> Env:
     return inst
 
 
+# A parameter value: ASCII decimal digits with an optional sign, read
+# as the protocol's integer literals are (`09` is 9). `0x9`, `9_0`,
+# Unicode digits and surrounding spaces are refused.
+_INT_VALUE = re.compile(r"[+-]?[0-9]+")
+
+
 def _int_value(name: str, value: str) -> int:
-    try:
-        return int(value, 0)
-    except ValueError:
-        raise _UsageError(f"parameter '{name}' needs an integer value, got '{value}'") from None
+    if _INT_VALUE.fullmatch(value) is None:
+        raise _UsageError(f"parameter '{name}' needs an integer value, got '{value}'")
+    return int(value)
 
 
 def _parse(path: str, parse):

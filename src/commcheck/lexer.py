@@ -1,16 +1,26 @@
 """Tokenizer shared by the protocol and program parsers.
 
-`tokenize` scans the text in one pass of one regular expression. A
-token keeps its start offset and the text's line-start offsets, which
-are found once per call; its `pos` is computed on read, by bisection
-over the line starts. So the lexer builds no `Pos`, and the parsers
-pay for one only where they store or report a position.
+`tokenize` scans the text with one `findall` of one regular expression
+into (skipped text, token) pairs; the last token is the empty text at
+the end, the eof token. Summing the pieces' lengths gives every token's
+start offset; a sum that falls short of the text's length ends at the
+first character outside the alphabet.
+
+The result is a read-only sequence over flat lists: the token texts,
+their offsets and the text's line starts, found once per call. The
+parsers read the lists and treat a token as its index. A `Token` is
+built only when the sequence is indexed or iterated, and a `Pos` only
+when a position is read, by bisection over the line starts. A token's
+kind follows from its text, as identifiers, integers, punctuation and
+the eof text "" never coincide.
 """
 
 from __future__ import annotations
 
 import re
 from bisect import bisect_right
+from collections.abc import Sequence
+from itertools import accumulate, chain
 
 from .exprs import Pos
 
@@ -52,22 +62,48 @@ def _pos(line_starts: list[int], offset: int) -> Pos:
     return Pos(line, offset - line_starts[line - 1] + 1)
 
 
-# Multi-character operators must come before their single-char prefixes;
-# `bad` catches any character the other groups cannot start with. Under
-# re.ASCII only ASCII digits make an integer and only ASCII whitespace
-# separates tokens, so a Unicode digit or space is a foreign character.
+class Tokens(Sequence):
+    """The tokens of one text, as parallel lists of texts and offsets; a
+    token's kind follows from its text."""
+
+    __slots__ = ("texts", "offsets", "line_starts")
+
+    def __init__(self, texts: list[str], offsets: list[int], line_starts: list[int]):
+        self.texts = texts
+        self.offsets = offsets
+        self.line_starts = line_starts
+
+    def __len__(self) -> int:
+        return len(self.texts)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[k] for k in range(*i.indices(len(self.texts)))]
+        text = self.texts[i]
+        kind = "ident" if text.isidentifier() else "int" if text.isdigit() else "punct"
+        return Token(kind if text else "eof", text, self.offsets[i], self.line_starts)
+
+    def pos(self, i: int) -> Pos:
+        """The position of token `i`."""
+        return _pos(self.line_starts, self.offsets[i])
+
+
+# A match is the skipped whitespace and comments, then a token, where
+# multi-character operators come before their single-character prefixes
+# and the empty text at the end is the eof token. Where no token follows
+# the skip, the ungrouped `.+` takes the rest of the text: its length is
+# missing from the pairs, whose sum then ends at the foreign character.
+# Under re.ASCII only ASCII digits make an integer and only ASCII
+# whitespace separates tokens, so a Unicode digit or space is a foreign
+# character.
 _TOKEN = re.compile(
-    r"(?P<ws>\s+)"
-    r"|(?P<comment>//[^\n]*)"
-    r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<int>\d+)"
-    r"|(?P<punct>==|!=|<=|>=|&&|\|\||[(){}\[\],.:|<>!=+\-*/%])"
-    r"|(?P<bad>.)",
-    re.S | re.A,
+    r"(\s*(?://[^\n]*\s*)*)"
+    r"(?:([A-Za-z_]\w*|\d+|==|!=|<=|>=|&&|\|\||[(){}\[\],.:|<>!=+\-*/%]|\Z)|.+)",
+    re.A | re.S,
 )
 
 
-def tokenize(text: str) -> list[Token]:
+def tokenize(text: str) -> Tokens:
     """Split `text` into tokens, ending with a single eof token.
 
     Raises ParseError on any character outside the language's alphabet.
@@ -77,13 +113,11 @@ def tokenize(text: str) -> list[Token]:
     while i >= 0:
         line_starts.append(i + 1)
         i = text.find("\n", i + 1)
-    toks: list[Token] = []
-    for m in _TOKEN.finditer(text):
-        kind = m.lastgroup
-        if kind in ("ws", "comment"):
-            continue
-        if kind == "bad":
-            raise ParseError(_pos(line_starts, m.start()), f"unexpected character {m.group()!r}")
-        toks.append(Token(kind, m.group(), m.start(), line_starts))
-    toks.append(Token("eof", "", len(text), line_starts))
-    return toks
+    pairs = _TOKEN.findall(text)
+    if len(pairs) > 1 and not pairs[-2][1]:
+        del pairs[-1]  # the empty match after a match that ends the text
+    ends = list(accumulate(map(len, chain.from_iterable(pairs))))
+    at = ends[-1]
+    if at != len(text):
+        raise ParseError(_pos(line_starts, at), f"unexpected character {text[at]!r}")
+    return Tokens([tok for _, tok in pairs], ends[::2], line_starts)

@@ -6,6 +6,13 @@ operand; that single spot is resolved by backtracking. Parsing is total:
 every input either yields a tree or raises ParseError with a position
 and the expected-token set. A nesting-depth cap keeps degenerate inputs
 from exhausting the interpreter stack.
+
+The parsers read the tokenizer's flat lists: a token is its index, its
+kind is told by its text, and a `Pos` is built only for a position that
+is stored or reported. An operand that is a lone integer literal or
+name, not followed by an arithmetic operator, is read in one step; that
+gives the tree, the depth check and the errors of the full expression
+grammar, which every other operand takes.
 """
 
 from __future__ import annotations
@@ -25,13 +32,14 @@ from .exprs import (
     NAT,
     Not,
     Or,
+    Pos,
     Pred,
     RefinedKind,
     Refinement,
     Var,
     INT64_MAX,
 )
-from .lexer import ParseError, Token, tokenize
+from .lexer import ParseError, tokenize
 from .terms import (
     ATOM_FIELDS,
     ATOM_NAMES,
@@ -53,6 +61,7 @@ from .terms import (
 
 _MAX_DEPTH = 200
 
+_BASE_KINDS = {"int": INT, "nat": NAT, "float": FLOAT}
 _DTYPES = {k.value: k for k in DataKind}
 _REDUCE_OPS = {o.value: o for o in ReduceOp}
 
@@ -68,10 +77,11 @@ _GLOBAL_ATOMS = {ATOM_NAMES[cls]: cls for cls in get_args(GlobalAtom)}
 _LOCAL_ATOMS = {ATOM_NAMES[cls]: cls for cls in get_args(LocalAtom)}
 
 _CMP_OPS = ("==", "!=", "<=", ">=", "<", ">")
+_ARITH = frozenset("+-*/%")
 
 
 class BaseParser:
-    """Token-stream plumbing plus the expression and predicate grammar."""
+    """Token-list plumbing plus the expression and predicate grammar."""
 
     # Identifiers that can never name a variable in this grammar (no
     # binder may introduce them). Refusing them in expression position
@@ -81,72 +91,64 @@ class BaseParser:
 
     def __init__(self, text: str):
         self.toks = tokenize(text)
+        self.texts = self.toks.texts
         self.i = 0
         self.depth = 0
 
     # -- token plumbing --
 
-    def peek(self) -> Token:
-        return self.toks[self.i]
+    def peek(self) -> str:
+        """The text of the current token; "" at the end of input."""
+        return self.texts[self.i]
 
-    def bump(self) -> Token:
-        tok = self.toks[self.i]
-        if tok.kind != "eof":
+    def pos(self, i: int | None = None) -> Pos:
+        """The position of token `i`, by default the current one."""
+        return self.toks.pos(self.i if i is None else i)
+
+    def eat(self, text: str) -> bool:
+        """Step over the current token if its text is `text`."""
+        if self.texts[self.i] == text:
             self.i += 1
-        return tok
-
-    def at_punct(self, text: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "punct" and tok.text == text
-
-    def at_ident(self, text: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "ident" and tok.text == text
-
-    def eat_punct(self, text: str) -> bool:
-        if self.at_punct(text):
-            self.bump()
             return True
         return False
 
     def fail(self, *expected: str) -> ParseError:
-        tok = self.peek()
-        found = f"'{tok.text}'" if tok.text else "end of input"
-        raise ParseError(tok.pos, f"unexpected {found}", expected)
+        text = self.texts[self.i]
+        found = f"'{text}'" if text else "end of input"
+        raise ParseError(self.pos(), f"unexpected {found}", expected)
 
-    def expect_punct(self, text: str) -> Token:
-        if not self.at_punct(text):
+    def expect(self, text: str) -> None:
+        """Step over the current token, which must be `text`."""
+        if self.texts[self.i] != text:
             self.fail(f"'{text}'")
-        return self.bump()
+        self.i += 1
 
-    def expect_ident(self) -> Token:
-        if self.peek().kind != "ident":
+    def expect_ident(self) -> int:
+        """Step over an identifier and return its index."""
+        i = self.i
+        if not self.texts[i].isidentifier():
             self.fail("an identifier")
-        return self.bump()
-
-    def expect_keyword(self, word: str) -> Token:
-        if not self.at_ident(word):
-            self.fail(f"'{word}'")
-        return self.bump()
+        self.i += 1
+        return i
 
     def expect_int(self) -> int:
-        tok = self.peek()
-        if tok.kind != "int":
+        text = self.texts[self.i]
+        if not text.isdigit():
             self.fail("an integer literal")
-        value = int(tok.text)
+        value = int(text)
         if value > INT64_MAX:
-            raise ParseError(tok.pos, f"integer literal {tok.text} out of range")
-        self.bump()
+            raise ParseError(self.pos(), f"integer literal {text} out of range")
+        self.i += 1
         return value
 
     def expect_eof(self) -> None:
-        if self.peek().kind != "eof":
+        if self.texts[self.i]:
             self.fail("end of input")
 
     def _enter(self) -> None:
         self.depth += 1
         if self.depth > _MAX_DEPTH:
-            raise ParseError(self.peek().pos, "nesting too deep")
+            raise ParseError(self.pos(), "nesting too deep")
 
     def _exit(self) -> None:
         self.depth -= 1
@@ -154,11 +156,27 @@ class BaseParser:
     # -- expressions --
 
     def parse_expr(self) -> Expr:
+        # A lone literal or name, not followed by an arithmetic operator,
+        # in one step: the tree the grammar below would build, under the
+        # same depth cap. An out-of-range literal or a keyword falls
+        # through to the grammar, which reports it.
+        i = self.i
+        texts = self.texts
+        text = texts[i]
+        if text and texts[i + 1] not in _ARITH and self.depth < _MAX_DEPTH:
+            if text.isdigit():
+                value = int(text)
+                if value <= INT64_MAX:
+                    self.i = i + 1
+                    return Lit(value)
+            elif text.isidentifier() and text not in self.expr_keywords:
+                self.i = i + 1
+                return Var(text)
         self._enter()
         try:
             e = self._mul_expr()
-            while self.peek().kind == "punct" and self.peek().text in ("+", "-"):
-                op = self.bump().text
+            while (op := self.texts[self.i]) in ("+", "-"):
+                self.i += 1
                 e = BinOp(op, e, self._mul_expr())
             return e
         finally:
@@ -166,14 +184,13 @@ class BaseParser:
 
     def _mul_expr(self) -> Expr:
         e = self._unary_expr()
-        while self.peek().kind == "punct" and self.peek().text in ("*", "/", "%"):
-            op = self.bump().text
+        while (op := self.texts[self.i]) in ("*", "/", "%"):
+            self.i += 1
             e = BinOp(op, e, self._unary_expr())
         return e
 
     def _unary_expr(self) -> Expr:
-        if self.at_punct("-"):
-            self.bump()
+        if self.eat("-"):
             operand = self._unary_expr()
             if isinstance(operand, Lit):
                 return Lit(-operand.value)
@@ -181,15 +198,15 @@ class BaseParser:
         return self._atom_expr()
 
     def _atom_expr(self) -> Expr:
-        tok = self.peek()
-        if tok.kind == "int":
+        text = self.texts[self.i]
+        if text.isdigit():
             return Lit(self.expect_int())
-        if tok.kind == "ident" and tok.text not in self.expr_keywords:
-            self.bump()
-            return Var(tok.text)
-        if self.eat_punct("("):
+        if text.isidentifier() and text not in self.expr_keywords:
+            self.i += 1
+            return Var(text)
+        if self.eat("("):
             e = self.parse_expr()
-            self.expect_punct(")")
+            self.expect(")")
             return e
         self.fail("an integer literal", "a variable", "'('")
         raise AssertionError  # unreachable
@@ -200,8 +217,7 @@ class BaseParser:
         self._enter()
         try:
             p = self._and_pred()
-            while self.at_punct("||"):
-                self.bump()
+            while self.eat("||"):
                 p = Or(p, self._and_pred())
             return p
         finally:
@@ -209,27 +225,25 @@ class BaseParser:
 
     def _and_pred(self) -> Pred:
         p = self._not_pred()
-        while self.at_punct("&&"):
-            self.bump()
+        while self.eat("&&"):
             p = And(p, self._not_pred())
         return p
 
     def _not_pred(self) -> Pred:
-        if self.at_punct("!"):
-            self.bump()
+        if self.eat("!"):
             return Not(self._not_pred())
         return self._pred_atom()
 
     def _pred_atom(self) -> Pred:
         # '(' is ambiguous: try a parenthesized predicate, fall back to a
         # comparison whose left operand happens to be parenthesized.
-        if self.at_punct("("):
+        if self.peek() == "(":
             mark = self.i
             paren_err: ParseError | None = None
             try:
-                self.bump()
+                self.i += 1
                 p = self.parse_pred()
-                self.expect_punct(")")
+                self.expect(")")
                 return p
             except ParseError as err:
                 paren_err = err
@@ -242,12 +256,12 @@ class BaseParser:
 
     def _comparison(self) -> Pred:
         lhs = self.parse_expr()
-        tok = self.peek()
-        if tok.kind != "punct" or tok.text not in _CMP_OPS:
+        cmp = self.texts[self.i]
+        if cmp not in _CMP_OPS:
             self.fail(*(f"'{op}'" for op in _CMP_OPS))
-        self.bump()
+        self.i += 1
         rhs = self.parse_expr()
-        return Cmp(tok.text, lhs, rhs)
+        return Cmp(cmp, lhs, rhs)
 
 
 def _further(a: ParseError, b: ParseError) -> ParseError:
@@ -264,21 +278,21 @@ class _ProtocolParser(BaseParser):
 
     def protocol(self) -> Protocol:
         binders: list[ParamBinder] = []
-        while self.at_ident("Pi"):
-            self.bump()
-            name = self.expect_ident()
-            if name.text in _KEYWORDS:
-                raise ParseError(name.pos, f"'{name.text}' is reserved")
-            self.expect_punct(":")
+        while self.eat("Pi"):
+            at = self.expect_ident()
+            name = self.texts[at]
+            if name in _KEYWORDS:
+                raise ParseError(self.pos(at), f"'{name}' is reserved")
+            self.expect(":")
             kind = self.parse_kind()
-            self.expect_punct(".")
-            binders.append(ParamBinder(name.text, kind, pos=name.pos))
-        self.expect_keyword("nprocs")
-        count_pos = self.peek().pos
+            self.expect(".")
+            binders.append(ParamBinder(name, kind, pos=self.pos(at)))
+        self.expect("nprocs")
+        count_at = self.i
         num_procs = self.expect_int()
         if num_procs < 1:
-            raise ParseError(count_pos, "process count must be positive")
-        self.expect_punct(".")
+            raise ParseError(self.pos(count_at), "process count must be positive")
+        self.expect(".")
         body = self.parse_type(local=False)
         self.expect_eof()
         return Protocol(tuple(binders), num_procs, body)
@@ -287,32 +301,27 @@ class _ProtocolParser(BaseParser):
         self._enter()
         try:
             k = self._base_kind()
-            while self.eat_punct("["):
+            while self.eat("["):
                 length = self.parse_expr()
-                self.expect_punct("]")
+                self.expect("]")
                 k = ArrayKind(k, length)
             return k
         finally:
             self._exit()
 
     def _base_kind(self) -> Kind:
-        if self.at_ident("int"):
-            self.bump()
-            return INT
-        if self.at_ident("nat"):
-            self.bump()
-            return NAT
-        if self.at_ident("float"):
-            self.bump()
-            return FLOAT
-        if self.eat_punct("{"):
-            var = self.expect_ident()
-            self.expect_punct(":")
+        base = _BASE_KINDS.get(self.peek())
+        if base is not None:
+            self.i += 1
+            return base
+        if self.eat("{"):
+            var = self.texts[self.expect_ident()]
+            self.expect(":")
             base = self.parse_kind()
-            self.expect_punct("|")
+            self.expect("|")
             pred = self.parse_pred()
-            self.expect_punct("}")
-            return RefinedKind(base, Refinement(var.text, pred))
+            self.expect("}")
+            return RefinedKind(base, Refinement(var, pred))
         self.fail("'int'", "'nat'", "'float'", "'{'")
         raise AssertionError  # unreachable
 
@@ -323,63 +332,55 @@ class _ProtocolParser(BaseParser):
         self._enter()
         try:
             heads: list[tuple] = []
-            while not self.at_ident("end"):
-                if self.at_ident("loop"):
-                    self.bump()
-                    self.expect_punct("(")
+            texts = self.texts
+            while (word := texts[self.i]) != "end":
+                if word == "loop":
+                    self.i += 1
+                    self.expect("(")
                     heads.append((Loop, self.parse_type(local)))
-                    self.expect_punct(")")
-                elif self.at_ident("choice"):
-                    self.bump()
-                    self.expect_punct("(")
+                    self.expect(")")
+                elif word == "choice":
+                    self.i += 1
+                    self.expect("(")
                     tb = self.parse_type(local)
-                    self.expect_punct(",")
+                    self.expect(",")
                     heads.append((Choice, tb, self.parse_type(local)))
-                    self.expect_punct(")")
+                    self.expect(")")
                 else:
                     heads.append((Prefix, self.parse_atom(local)))
-                self.expect_punct(".")
-            self.bump()
+                self.expect(".")
+            self.i += 1
             return rebuild(heads)
         finally:
             self._exit()
 
     def parse_atom(self, local: bool) -> Atom:
         names = _LOCAL_ATOMS if local else _GLOBAL_ATOMS
-        tok = self.peek()
-        if tok.kind != "ident" or tok.text not in names:
+        at = self.i
+        cls = names.get(self.texts[at])
+        if cls is None:
             self.fail("'end'", "'loop'", "'choice'", *(f"'{n}'" for n in names))
-        self.bump()
-        cls = names[tok.text]
-        self.expect_punct("(")
+        self.i += 1
+        self.expect("(")
         args = []
         for i, name in enumerate(ATOM_FIELDS[cls]):
             if i:
-                self.expect_punct(",")
+                self.expect(",")
             if name == "dtype":
-                args.append(self._dtype())
+                args.append(self._label(_DTYPES))
             elif name == "op":
-                args.append(self._reduce_op())
+                args.append(self._label(_REDUCE_OPS))
             else:
                 args.append(self.parse_expr())
-        self.expect_punct(")")
-        return cls(*args, pos=tok.pos)
+        self.expect(")")
+        return cls(*args, pos=self.pos(at))
 
-    def _dtype(self) -> DataKind:
-        tok = self.peek()
-        if tok.kind == "ident" and tok.text in _DTYPES:
-            self.bump()
-            return _DTYPES[tok.text]
-        self.fail(*(f"'{n}'" for n in _DTYPES))
-        raise AssertionError  # unreachable
-
-    def _reduce_op(self) -> ReduceOp:
-        tok = self.peek()
-        if tok.kind == "ident" and tok.text in _REDUCE_OPS:
-            self.bump()
-            return _REDUCE_OPS[tok.text]
-        self.fail(*(f"'{n}'" for n in _REDUCE_OPS))
-        raise AssertionError  # unreachable
+    def _label(self, labels: dict):
+        label = labels.get(self.peek())
+        if label is None:
+            self.fail(*(f"'{n}'" for n in labels))
+        self.i += 1
+        return label
 
 
 def parse_protocol(text: str) -> Protocol:

@@ -199,115 +199,117 @@ class _ProgramParser(BaseParser):
     def program(self) -> Program:
         params: list[str] = []
         body: list[Stmt] = []
-        while self.at_ident("param"):
-            pos = self.bump().pos
+        while self.peek() == "param":
+            at = self.i
+            self.i += 1
             name = self._decl_name()
             if name in params:
-                raise ParseError(pos, f"duplicate parameter '{name}'")
+                raise ParseError(self.pos(at), f"duplicate parameter '{name}'")
             params.append(name)
-        while self.peek().kind != "eof":
+        while self.peek():
             body.append(self.statement(top=True))
         prog = Program(tuple(params), tuple(body))
         self._validate(prog)
         return prog
 
     def _decl_name(self) -> str:
-        tok = self.expect_ident()
-        if tok.text in RESERVED_NAMES:
-            raise ParseError(tok.pos, f"'{tok.text}' is predefined and cannot be declared")
-        if tok.text in _STMT_KEYWORDS:
-            raise ParseError(tok.pos, f"'{tok.text}' is reserved")
-        return tok.text
+        at = self.expect_ident()
+        name = self.texts[at]
+        if name in RESERVED_NAMES:
+            raise ParseError(self.pos(at), f"'{name}' is predefined and cannot be declared")
+        if name in _STMT_KEYWORDS:
+            raise ParseError(self.pos(at), f"'{name}' is reserved")
+        return name
 
     def statement(self, top: bool) -> Stmt:
-        tok = self.peek()
-        if tok.kind != "ident":
+        word = self.peek()
+        if not word.isidentifier():
             self.fail("a statement")
-        word = tok.text
+        pos = self.pos()
         if word in ("param", "init", "finalize") and not top:
-            raise ParseError(tok.pos, f"'{word}' is only allowed at top level")
+            raise ParseError(pos, f"'{word}' is only allowed at top level")
         if word == "param":
-            raise ParseError(tok.pos, "'param' declarations must precede all statements")
-        self.bump()
+            raise ParseError(pos, "'param' declarations must precede all statements")
+        self.i += 1
         if word == "init":
-            return Init(pos=tok.pos)
+            return Init(pos=pos)
         if word == "commsize":
-            return CommSize(pos=tok.pos)
+            return CommSize(pos=pos)
         if word == "commrank":
-            return CommRank(pos=tok.pos)
+            return CommRank(pos=pos)
         if word == "compute":
-            return Compute(pos=tok.pos)
+            return Compute(pos=pos)
         if word == "finalize":
-            return Finalize(pos=tok.pos)
+            return Finalize(pos=pos)
         if word == "let":
             name = self._decl_name()
-            self.expect_punct("=")
-            return Let(name, self.parse_expr(), pos=tok.pos)
+            self.expect("=")
+            return Let(name, self.parse_expr(), pos=pos)
         if word == "buffer":
             name = self._decl_name()
-            kind_tok = self.expect_ident()
-            if kind_tok.text not in _BUFFER_KINDS:
-                raise ParseError(kind_tok.pos, "buffer kind must be 'int' or 'float'")
-            self.expect_punct("[")
+            kind_at = self.expect_ident()
+            elem = _BUFFER_KINDS.get(self.texts[kind_at])
+            if elem is None:
+                raise ParseError(self.pos(kind_at), "buffer kind must be 'int' or 'float'")
+            self.expect("[")
             capacity = self.parse_expr()
-            self.expect_punct("]")
-            return BufferDecl(name, _BUFFER_KINDS[kind_tok.text], capacity, pos=tok.pos)
+            self.expect("]")
+            return BufferDecl(name, elem, capacity, pos=pos)
         if word in _COMM_WORDS:
             kind, who_key = _COMM_WORDS[word]
             who = self._kv_expr(who_key) if who_key else None
             buf = self._kv_name("buf")
             length = self._kv_expr("len")
             op = self._kv_op() if kind == "allreduce" else None
-            return CommStmt(kind, who, buf, length, op, pos=tok.pos)
+            return CommStmt(kind, who, buf, length, op, pos=pos)
         if word == "collloop":
-            return CollLoop(self.block(), pos=tok.pos)
+            return CollLoop(self.block(), pos=pos)
         if word == "collchoice":
             then_body = self.block()
-            self.expect_keyword("else")
-            return CollChoice(then_body, self.block(), pos=tok.pos)
+            self.expect("else")
+            return CollChoice(then_body, self.block(), pos=pos)
         if word == "rankif":
-            self.expect_punct("(")
+            self.expect("(")
             guard = self.parse_pred()
-            self.expect_punct(")")
+            self.expect(")")
             then_body = self.block()
             else_body: tuple[Stmt, ...] = ()
-            if self.at_ident("else"):
-                self.bump()
+            if self.eat("else"):
                 else_body = self.block()
-            return RankIf(guard, then_body, else_body, pos=tok.pos)
-        raise ParseError(tok.pos, f"unknown statement '{word}'")
+            return RankIf(guard, then_body, else_body, pos=pos)
+        raise ParseError(pos, f"unknown statement '{word}'")
 
     def block(self) -> tuple[Stmt, ...]:
         self._enter()
         try:
-            self.expect_punct("{")
+            self.expect("{")
             stmts: list[Stmt] = []
-            while not self.at_punct("}"):
-                if self.peek().kind == "eof":
+            while not self.eat("}"):
+                if not self.peek():
                     self.fail("'}'")
                 stmts.append(self.statement(top=False))
-            self.bump()
             return tuple(stmts)
         finally:
             self._exit()
 
     def _kv_expr(self, key: str) -> Expr:
-        self.expect_keyword(key)
-        self.expect_punct("=")
+        self.expect(key)
+        self.expect("=")
         return self.parse_expr()
 
     def _kv_name(self, key: str) -> str:
-        self.expect_keyword(key)
-        self.expect_punct("=")
-        return self.expect_ident().text
+        self.expect(key)
+        self.expect("=")
+        return self.texts[self.expect_ident()]
 
     def _kv_op(self) -> ReduceOp:
-        self.expect_keyword("op")
-        self.expect_punct("=")
-        tok = self.expect_ident()
-        if tok.text not in _OP_NAMES:
-            raise ParseError(tok.pos, "reduce op must be MAX, MIN, or SUM")
-        return _OP_NAMES[tok.text]
+        self.expect("op")
+        self.expect("=")
+        at = self.expect_ident()
+        op = _OP_NAMES.get(self.texts[at])
+        if op is None:
+            raise ParseError(self.pos(at), "reduce op must be MAX, MIN, or SUM")
+        return op
 
     # -- structural rules --
 
@@ -317,12 +319,12 @@ class _ProgramParser(BaseParser):
         finals = [s for s in prog.body if isinstance(s, Finalize)]
         if not inits:
             # At the first statement that needs an 'init' before it.
-            needs = (s for s in prog.body if not isinstance(s, before_init))
-            raise ParseError(next(needs, self.peek()).pos, "program must contain 'init'")
+            needs = (s.pos for s in prog.body if not isinstance(s, before_init))
+            raise ParseError(next(needs, None) or self.pos(), "program must contain 'init'")
         if len(inits) > 1:
             raise ParseError(inits[1].pos, "duplicate 'init'")
         if not finals:
-            raise ParseError(self.peek().pos, "program must contain 'finalize'")
+            raise ParseError(self.pos(), "program must contain 'finalize'")
         if len(finals) > 1:
             raise ParseError(finals[1].pos, "duplicate 'finalize'")
         if not isinstance(prog.body[-1], Finalize):

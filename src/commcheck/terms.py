@@ -201,8 +201,10 @@ class _Node:
     dataclasses declared with `eq=False, repr=False`, so they inherit
     these three methods instead of generating their own."""
 
+    _values = None  # per node class: an attrgetter of its fields, in order
+
     def __post_init__(self):
-        object.__setattr__(self, "_hash", hash(self.__reduce__()[1]))
+        object.__setattr__(self, "_hash", hash(self._values(self)))
 
     def __hash__(self):
         return self._hash
@@ -218,7 +220,7 @@ class _Node:
                 return a == b  # the closing `end`
             if a._hash != b._hash:
                 return False
-            fields_a, fields_b = a.__reduce__()[1], b.__reduce__()[1]
+            fields_a, fields_b = a._values(a), b._values(b)
             if fields_a[:-1] != fields_b[:-1]:
                 return False
             a, b = fields_a[-1], fields_b[-1]
@@ -229,7 +231,7 @@ class _Node:
         # written along the spine with the closing parentheses last.
         parts, depth, t = [], 0, self
         while isinstance(t, _Node):
-            names, values = t.__match_args__, t.__reduce__()[1]
+            names, values = t.__match_args__, t._values(t)
             parts.append(type(t).__qualname__ + "(")
             parts.extend(f"{name}={value!r}, " for name, value in zip(names[:-1], values))
             parts.append("cont=")
@@ -239,7 +241,7 @@ class _Node:
 
     def __reduce__(self):
         # Class and fields, `cont` last; pickles rebuild through it, so hashes are recomputed.
-        return type(self), tuple(getattr(self, f) for f in self.__match_args__)
+        return type(self), self._values(self)
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -270,6 +272,10 @@ class Choice(_Node):
 
 
 TypeTerm = Union[End, Prefix, Loop, Choice]
+
+for _cls in (Prefix, Loop, Choice):
+    _cls._values = attrgetter(*_cls.__match_args__)
+del _cls
 
 # Aliases to make signatures say which side of projection they live on.
 GlobalType = TypeTerm

@@ -83,6 +83,35 @@ def test_bad_param_syntax_is_usage(ring, capsys):
     assert code == EXIT_USAGE
 
 
+@pytest.mark.parametrize("value", ["\u0669", "0x9", "9_0", " 9", "+-9", "9.0", ""])
+def test_param_value_must_be_ascii_decimal_digits(ring, capsys, value):
+    code, out, err = run(capsys, "validate", str(ring / "ring.cty"), "--param", f"size={value}")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == f"error: parameter 'size' needs an integer value, got '{value}'\n"
+
+
+def test_param_value_reads_as_an_integer_literal(ring, capsys):
+    # A leading zero is a decimal digit, as in the protocol's literals.
+    code, out, _ = run(capsys, "validate", str(ring / "ring.cty"), "--param", "size=09")
+    assert (code, out) == (EXIT_OK, f"{ring / 'ring.cty'}: well-formed for 3 processes\n")
+    code, out, _ = run(capsys, "validate", str(ring / "ring.cty"), "--param", "size=+9")
+    assert code == EXIT_OK
+    # A negative value is an integer; the refinement on `size` refuses it.
+    code, out, err = run(capsys, "validate", str(ring / "ring.cty"), "--param", "size=-3", "--report")
+    assert code == EXIT_FAIL
+    assert out.splitlines()[0] == "-:5.4:refinement-violated:value -3 does not satisfy the kind of 'size'"
+
+
+@pytest.mark.parametrize("value, code", [("09", EXIT_OK), ("0x9", EXIT_USAGE), ("9_0", EXIT_USAGE)])
+def test_manifest_value_must_be_ascii_decimal_digits(ring, tmp_path, capsys, value, code):
+    manifest = tmp_path / "params.txt"
+    manifest.write_text(f"size = {value} \n")
+    got, _, err = run(capsys, "validate", str(ring / "ring.cty"), "--manifest", str(manifest))
+    assert got == code
+    if code == EXIT_USAGE:
+        assert err == f"error: parameter 'size' needs an integer value, got '{value}'\n"
+
+
 def test_manifest_params(ring, tmp_path, capsys):
     manifest = tmp_path / "params.txt"
     manifest.write_text("# instance\nsize = 9\n\n")

@@ -105,6 +105,26 @@ def test_tokenizer_matches_the_reference_on_edge_cases(text):
     assert_matches_reference(text)
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "// c \xe9\n@",
+        "x // a b\n@",
+        "1 //\n//x / y\n&",
+        "end // 2 // 3 \u0663\n \t#",
+        "a /\n/ b\n//",
+        " " * 100_000 + "@",
+        "a" + " \t\n" * 30_000 + "&",
+        "// c\n" * 10_000 + "\xe9",
+    ],
+    ids=range(8),
+)
+def test_tokenizer_finds_a_foreign_character_after_skipped_text(text):
+    # No token is read inside a comment, and long runs of skipped text
+    # before the foreign character are scanned once.
+    assert_matches_reference(text)
+
+
 def test_tokenizer_matches_the_reference_on_random_strings():
     rng = random.Random(7)
     for _ in range(3000):
@@ -134,3 +154,25 @@ def test_tokenize_builds_no_position_until_one_is_read(monkeypatch):
     got = [(toks[k].text, toks[k].pos.line, toks[k].pos.col) for k in picks]
     assert got == [(want[k][1], *reference_pos(text, want[k][2])) for k in picks]
     assert len(built) == 2 * len(picks)
+
+
+def test_tokenize_result_reads_as_a_sequence_of_tokens():
+    text = "nprocs 2. // two ranks\nmessage(0,1,MPI_INT,4).\nend\n"
+    toks = tokenize(text)
+    want, _ = reference_scan(text)
+    assert len(toks) == len(want) == 16
+    assert toks[-1].kind == "eof" and toks[-1].text == ""
+    assert (toks[-1].pos.line, toks[-1].pos.col) == (4, 1)
+    # Slices are lists of tokens, so two of them concatenate.
+    joined = toks[:3] + toks[4:]
+    assert isinstance(joined, list) and len(joined) == len(toks) - 1
+    assert [t.text for t in joined] == [w[1] for w in want[:3] + want[4:]]
+    assert [t.text for t in toks[::-4]] == [w[1] for w in want[::-4]]
+    # Iteration yields what indexing does.
+    by_index = [(toks[k].kind, toks[k].text, toks[k].offset) for k in range(len(toks))]
+    assert [(t.kind, t.text, t.offset) for t in toks] == by_index == want
+    assert [(t.kind, t.text, t.offset) for t in toks[-2:]] == want[-2:]
+    with pytest.raises(IndexError):
+        toks[len(toks)]
+    with pytest.raises(TypeError):
+        toks[0] = toks[1]

@@ -9,10 +9,11 @@ import pytest
 
 import commcheck.lexer
 from commcheck.exprs import BinOp, Cmp, Lit, NatKind, Pos, RefinedKind, Var
-from commcheck.lexer import ParseError, tokenize
+from commcheck.lexer import ParseError, Token, tokenize
 from commcheck.parser import parse_local_term, parse_protocol
 from commcheck.program import parse_program
 from commcheck.printer import format_protocol, format_term
+from commcheck.projection import project
 from commcheck.terms import (
     Allreduce,
     Choice,
@@ -27,6 +28,7 @@ from commcheck.terms import (
     ReduceOp,
     Scatter,
     Send,
+    spine,
 )
 
 from proto_gen import random_protocol
@@ -67,6 +69,117 @@ def test_parsing_builds_a_position_only_where_one_is_stored(monkeypatch):
     parse_program("\n".join(lines) + "\n")
     statements = 2 * n + 6  # buffer, init, three rankif, n sends, n receives, finalize
     assert len(built) <= statements + 2
+
+
+def _chain_texts(n: int) -> tuple[str, str]:
+    """A straight-line protocol of `n` messages among three ranks, and
+    the program that performs it."""
+    pairs = [(k % 3, (k + 1) % 3) for k in range(n)]
+    atoms = "".join(f"message({s},{d},MPI_INT,{k % 9}).\n" for k, (s, d) in enumerate(pairs))
+    lines = ["buffer b int[8]", "init"]
+    for rank in range(3):
+        lines.append(f"rankif (me == {rank}) {{")
+        for k, (s, d) in enumerate(pairs):
+            if rank == s:
+                lines.append(f"  send peer={d} buf=b len={k % 9}")
+            elif rank == d:
+                lines.append(f"  recv peer={s} buf=b len={k % 9}")
+        lines.append("}")
+    lines.append("finalize")
+    return "nprocs 3.\n" + atoms + "end\n", "\n".join(lines) + "\n"
+
+
+def test_parsing_builds_no_token(monkeypatch):
+    # The parsers read the tokenizer's flat lists; a `Token` is built only
+    # when the token sequence is indexed or iterated.
+    protocol_text, program_text = _chain_texts(1_000)
+    want_view = project(parse_protocol(protocol_text), {}, 1)
+    built = []
+
+    def counting_token(*args):
+        built.append(args)
+        return Token(*args)
+
+    monkeypatch.setattr(commcheck.lexer, "Token", counting_token)
+    parse_protocol(protocol_text)
+    parse_program(program_text)
+    view = parse_local_term(format_term(want_view))
+    assert built == []
+    assert view == want_view and len(spine(view)) == 667
+    assert tokenize("end")[0].text == "end" and len(built) == 1
+
+
+def _message_with(length: str) -> str:
+    return f"nprocs 2.\nmessage(0,1,MPI_INT,{length}).\nend\n"
+
+
+def _program_with(stmt: str) -> str:
+    return f"buffer b int[8]\ninit\n{stmt}\nfinalize\n"
+
+
+@pytest.mark.parametrize(
+    "length, want",
+    [
+        ("2*n", BinOp("*", Lit(2), Var("n"))),
+        ("n%2", BinOp("%", Var("n"), Lit(2))),
+        ("n-1", BinOp("-", Var("n"), Lit(1))),
+        ("-1", Lit(-1)),
+        ("(n)", Var("n")),
+        ("(" * 198 + "1" + ")" * 198, Lit(1)),
+        ("9223372036854775807", Lit(9223372036854775807)),
+    ],
+)
+def test_operand_edges_parse_to_the_grammar_tree(length, want):
+    assert parse_protocol(_message_with(length)).body.atom.length == want
+
+
+@pytest.mark.parametrize(
+    "length, message",
+    [
+        ("2*", "2:23: unexpected ')' (expected an integer literal or a variable or '(')"),
+        ("n+", "2:23: unexpected ')' (expected an integer literal or a variable or '(')"),
+        ("1 2", "2:23: unexpected '2' (expected ')')"),
+        ("end", "2:21: unexpected 'end' (expected an integer literal or a variable or '(')"),
+        ("loop", "2:21: unexpected 'loop' (expected an integer literal or a variable or '(')"),
+        # The innermost operand would be parsed at the depth cap.
+        ("(" * 199 + "1" + ")" * 199, "2:220: nesting too deep"),
+        ("(" * 199 + "n" + ")" * 199, "2:220: nesting too deep"),
+        ("9223372036854775808", "2:21: integer literal 9223372036854775808 out of range"),
+    ],
+)
+def test_operand_edges_keep_their_protocol_syntax_errors(length, message):
+    with pytest.raises(ParseError) as err:
+        parse_protocol(_message_with(length))
+    assert str(err.value) == message
+
+
+def test_keyword_operand_keeps_its_syntax_error():
+    with pytest.raises(ParseError) as err:
+        parse_protocol("nprocs 2.\nmessage(0,end,MPI_INT,1).\nend\n")
+    assert str(err.value) == "2:11: unexpected 'end' (expected an integer literal or a variable or '(')"
+
+
+@pytest.mark.parametrize(
+    "stmt, message",
+    [
+        ("send peer=1 buf=b len=n+", "4:1: unexpected 'finalize' (expected an integer literal or a variable or '(')"),
+        ("send peer=init buf=b len=1", "3:11: unexpected 'init' (expected an integer literal or a variable or '(')"),
+        ("send peer=1 buf=b len=finalize", "3:23: unexpected 'finalize' (expected an integer literal or a variable or '(')"),
+        ("send peer=1 buf=b len=n n", "3:25: unknown statement 'n'"),
+        ("send peer=1 buf=b len=9223372036854775808", "3:23: integer literal 9223372036854775808 out of range"),
+    ],
+)
+def test_operand_edges_keep_their_program_syntax_errors(stmt, message):
+    with pytest.raises(ParseError) as err:
+        parse_program(_program_with(stmt))
+    assert str(err.value) == message
+
+
+def test_program_operands_parse_to_the_grammar_tree():
+    send = parse_program(_program_with("send peer=1 buf=b len=n+1")).body[2]
+    assert send.length == BinOp("+", Var("n"), Lit(1))
+    send = parse_program(_program_with("send peer=1 buf=b len=9223372036854775807")).body[2]
+    assert send.length == Lit(9223372036854775807)
 
 
 def test_tokenizer_rejects_foreign_characters():
