@@ -10,6 +10,7 @@ deadlocks under synchronous (unbuffered) semantics.
 from .checker import (
     CheckDiagnostic,
     CheckReport,
+    IllFormedProtocol,
     RankReport,
     check_compliance,
     erase_to_trace,
@@ -92,6 +93,7 @@ __all__ = [
     "ExprError",
     "GlobalType",
     "HeadMismatch",
+    "IllFormedProtocol",
     "LocalType",
     "NotAPrefix",
     "ParseError",

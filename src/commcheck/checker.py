@@ -44,7 +44,7 @@ from .typestate import (
     describe_node,
     step,
 )
-from .wf import check_wf
+from .wf import WfReport, check_wf
 
 
 @dataclass(frozen=True)
@@ -101,21 +101,31 @@ class _RankState:
         raise _RankStop
 
 
+class IllFormedProtocol(ValueError):
+    """The protocol is not well-formed under the instantiation; `report`
+    holds the well-formedness diagnostics."""
+
+    def __init__(self, report: WfReport):
+        super().__init__(
+            "protocol is not well-formed under the given instantiation: "
+            + "; ".join(report.render_lines())
+        )
+        self.report = report
+
+
 def check_compliance(prog: Program, protocol: Protocol, inst: Env) -> CheckReport:
     """Check `prog` against `protocol` for every rank of the ensemble.
 
     `inst` supplies values both for the protocol's parameters and for
     the program's `param` names (shared namespace, matched by name).
-    The protocol must be well-formed under its slice of `inst`; a
-    ValueError signals a violated precondition, not a program defect.
+    The protocol must be well-formed under its slice of `inst`; an
+    IllFormedProtocol, a ValueError, signals a violated precondition,
+    not a program defect.
     """
     binder_inst = {b.name: inst[b.name] for b in protocol.params if b.name in inst}
     wf = check_wf(protocol, binder_inst)
     if not wf.ok:
-        raise ValueError(
-            "protocol is not well-formed under the given instantiation: "
-            + "; ".join(wf.render_lines())
-        )
+        raise IllFormedProtocol(wf)
 
     reports: list[RankReport] = []
     traces: list[tuple[tuple[str, int], ...]] = []

@@ -28,7 +28,7 @@ import sys
 from functools import cache, partial
 from pathlib import Path
 
-from .checker import CheckDiagnostic, check_compliance
+from .checker import CheckDiagnostic, IllFormedProtocol, check_compliance
 from .exprs import Env, ExprError
 from .lexer import ParseError
 from .parser import parse_local_term, parse_protocol
@@ -45,7 +45,7 @@ from .sim import (
     format_trail,
 )
 from .terms import Protocol, ground_term
-from .wf import check_wf
+from .wf import WfReport, check_wf
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -127,8 +127,11 @@ def _require_params(protocol: Protocol, inst: Env) -> None:
 
 
 def _require_wf(protocol: Protocol, inst: Env, path: str, report: bool) -> None:
+    _emit_wf(check_wf(protocol, inst), path, report)
+
+
+def _emit_wf(wf: WfReport, path: str, report: bool) -> None:
     """Report the protocol's well-formedness diagnostics; any is a defect."""
-    wf = check_wf(protocol, inst)
     for d in wf.diagnostics:
         print(d.render(path), file=sys.stderr)
         if report:
@@ -186,9 +189,10 @@ def _cmd_verify(args) -> int:
         raise _UsageError(
             "missing value(s) for program parameter(s): " + ", ".join(missing)
         )
-    binder_inst = {b.name: inst[b.name] for b in protocol.params}
-    _require_wf(protocol, binder_inst, args.protocol, args.report)
-    result = check_compliance(prog, protocol, inst)
+    try:
+        result = check_compliance(prog, protocol, inst)
+    except IllFormedProtocol as err:
+        _emit_wf(err.report, args.protocol, args.report)  # raises _Failed
     _emit_check(result.all_diagnostics(), args.program, args.report)
     if result.compliant:
         print(f"{args.program}: compliant with {args.protocol} on all"

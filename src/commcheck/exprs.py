@@ -98,6 +98,8 @@ def eval_expr(e: Expr, env: Env) -> int:
 
     Raises UnboundVariable, DivisionByZero, or IntegerOverflow.
     """
+    if type(e) is Lit:  # most operands of a protocol are literals
+        return _ranged(e.value)
     match e:
         case Lit(value):
             return _ranged(value)

@@ -108,11 +108,9 @@ def tokenize(text: str) -> Tokens:
 
     Raises ParseError on any character outside the language's alphabet.
     """
-    line_starts = [0]
-    i = text.find("\n")
-    while i >= 0:
-        line_starts.append(i + 1)
-        i = text.find("\n", i + 1)
+    # Line starts are the running sums of the lines' lengths, newline included.
+    line_lengths = map((1).__add__, map(len, text.split("\n")[:-1]))
+    line_starts = list(accumulate(line_lengths, initial=0))
     pairs = _TOKEN.findall(text)
     if len(pairs) > 1 and not pairs[-2][1]:
         del pairs[-1]  # the empty match after a match that ends the text

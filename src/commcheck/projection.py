@@ -1,10 +1,18 @@
-"""Projection of a global protocol onto the local view of one rank.
+"""Projection of a global protocol onto the local views of its ranks.
 
 A message becomes a send at its source, a receive at its destination,
 and disappears everywhere else. Collectives, loops, and choices involve
 every rank and are kept verbatim in each local view. Expressions are
 evaluated against the instantiation on the way through, so local views
 come out ground: every peer, root, and length is a literal.
+
+One walk of the protocol builds the views of all requested ranks at
+once, a list of spine heads per rank: each message's endpoints are
+evaluated once, its length once if a requested rank takes part, and
+each collective is grounded once and shared by every view. An endpoint
+outside [0, num_procs), possible only in a protocol that is not
+well-formed, adds an atom to no view, and a message from a rank to
+itself is a send only.
 """
 
 from __future__ import annotations
@@ -45,37 +53,50 @@ def project(protocol: Protocol, inst: Env, rank: int) -> LocalType:
     """Project `protocol` under `inst` onto `rank`.
 
     The protocol is expected to be well-formed under `inst` (see
-    `check_wf`); expression errors surface as ExprError otherwise.
+    `check_wf`); otherwise an expression whose value the walk needs may
+    raise ExprError.
     """
     if not 0 <= rank < protocol.num_procs:
         raise ValueError(f"rank {rank} outside [0, {protocol.num_procs})")
-    env = {b.name: inst[b.name] for b in protocol.params if b.name in inst}
-    return _project(protocol.body, env, rank)
+    return _project(protocol.body, _binders(protocol, inst), rank, rank + 1)[0]
 
 
 def project_all(protocol: Protocol, inst: Env) -> ProjectionResult:
-    """Project every rank of the ensemble."""
-    return ProjectionResult(
-        tuple(project(protocol, inst, rank) for rank in range(protocol.num_procs))
-    )
+    """Project every rank of the ensemble, in one walk of the protocol."""
+    views = _project(protocol.body, _binders(protocol, inst), 0, protocol.num_procs)
+    return ProjectionResult(tuple(views))
 
 
-def _project(t: TypeTerm, env: Env, rank: int) -> TypeTerm:
-    kept = []
+def _binders(protocol: Protocol, inst: Env) -> Env:
+    return {b.name: inst[b.name] for b in protocol.params if b.name in inst}
+
+
+def _project(t: TypeTerm, env: Env, lo: int, hi: int) -> list[TypeTerm]:
+    """The views of `t` at ranks `lo` to `hi - 1`, in rank order."""
+    kept = [[] for _ in range(lo, hi)]
     for node in spine(t):
         match node:
             case Prefix(Message(src, dst, dtype, length) as msg, _):
                 source = eval_expr(src, env)
                 destination = eval_expr(dst, env)
-                count = Lit(eval_expr(length, env))
-                if source == rank:
-                    kept.append((Prefix, Send(Lit(destination), dtype, count, pos=msg.pos)))
-                elif destination == rank:
-                    kept.append((Prefix, Receive(Lit(source), dtype, count, pos=msg.pos)))
+                count = None
+                if lo <= source < hi:
+                    count = Lit(eval_expr(length, env))
+                    send = Send(Lit(destination), dtype, count, pos=msg.pos)
+                    kept[source - lo].append((Prefix, send))
+                if destination != source and lo <= destination < hi:
+                    count = count or Lit(eval_expr(length, env))
+                    receive = Receive(Lit(source), dtype, count, pos=msg.pos)
+                    kept[destination - lo].append((Prefix, receive))
             case Prefix(atom, _):
-                kept.append((Prefix, ground_atom(atom, env)))
+                head = (Prefix, ground_atom(atom, env))
+                for heads in kept:
+                    heads.append(head)
             case Loop(body, _):
-                kept.append((Loop, _project(body, env, rank)))
+                for heads, view in zip(kept, _project(body, env, lo, hi)):
+                    heads.append((Loop, view))
             case Choice(tb, fb, _):
-                kept.append((Choice, _project(tb, env, rank), _project(fb, env, rank)))
-    return rebuild(kept)
+                branches = zip(_project(tb, env, lo, hi), _project(fb, env, lo, hi))
+                for heads, (tv, fv) in zip(kept, branches):
+                    heads.append((Choice, tv, fv))
+    return [rebuild(heads) for heads in kept]

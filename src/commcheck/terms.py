@@ -9,7 +9,8 @@ sides unchanged. Nodes are frozen dataclasses whose `==`, hash and
 source positions never take part in comparisons. Every walk
 along a term's continuation spine is a loop over `spine` and `rebuild`;
 only loop bodies and choice branches, whose depth the parser bounds,
-recurse. A node's hash is computed once, when it is built.
+recurse. A node's hash is computed once, on its first use: parsing and
+projection hash nothing, and the search hashes the views it numbers.
 An atom is written as its name in `ATOM_NAMES` followed by its fields
 other than `pos`, in declaration order (`atom_args`); the parser, the
 printer and grounding all work from that one description.
@@ -195,18 +196,24 @@ class End:
 
 
 class _Node:
-    """A prefix, loop or choice node, with `cont` as its last field. It is
-    hashed once, at construction, so hashing never walks the spine, and
-    `==` and `repr` walk the spine in one loop. The node classes are
-    dataclasses declared with `eq=False, repr=False`, so they inherit
-    these three methods instead of generating their own."""
+    """A prefix, loop or choice node, with `cont` as its last field. Its
+    hash is computed on the first `hash()`, down the spine in one loop and
+    then filled in from the tail up, and kept; `==` and `repr` walk the
+    spine in one loop too. The node classes are dataclasses declared with
+    `eq=False, repr=False`, so they inherit these three methods instead of
+    generating their own."""
 
     _values = None  # per node class: an attrgetter of its fields, in order
-
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash(self._values(self)))
+    _hash = None  # per node: its hash, once computed
 
     def __hash__(self):
+        if self._hash is None:
+            pending, t = [], self
+            while isinstance(t, _Node) and t._hash is None:
+                pending.append(t)
+                t = t.cont
+            for t in reversed(pending):
+                object.__setattr__(t, "_hash", hash(t._values(t)))
         return self._hash
 
     def __eq__(self, other):
@@ -218,7 +225,7 @@ class _Node:
                 return False
             if not isinstance(a, _Node):
                 return a == b  # the closing `end`
-            if a._hash != b._hash:
+            if hash(a) != hash(b):
                 return False
             fields_a, fields_b = a._values(a), b._values(b)
             if fields_a[:-1] != fields_b[:-1]:

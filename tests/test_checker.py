@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import pytest
 
-from commcheck.checker import check_compliance, erase_to_trace
+from commcheck.checker import IllFormedProtocol, check_compliance, erase_to_trace
 from commcheck.parser import parse_protocol
 from commcheck.program import parse_program
 from commcheck.sim import DecisionTape, loop_tape
 from commcheck.terms import Comm, DataKind, ReduceOp
 from commcheck.typestate import FinalizeAction
+from commcheck.wf import check_wf
 
 
 def one_code(report):
@@ -47,8 +48,15 @@ def test_flat_variant_fails_only_where_order_diverges(fdiff_protocol_text, fdiff
 def test_wf_violation_is_a_precondition_error(fdiff_protocol_text, fdiff_program_text):
     proto = parse_protocol(fdiff_protocol_text)
     prog = parse_program(fdiff_program_text)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as err:
         check_compliance(prog, proto, {"size": 7})
+    # The error carries the report the CLI prints, under the same message.
+    assert isinstance(err.value, IllFormedProtocol)
+    assert err.value.report == check_wf(proto, {"size": 7})
+    assert str(err.value) == (
+        "protocol is not well-formed under the given instantiation: <protocol>:5:4:"
+        " [refinement-violated] value 7 does not satisfy the kind of 'size' (at param size)"
+    )
 
 
 def test_missing_program_parameter(fdiff_protocol_text):

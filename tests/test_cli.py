@@ -15,6 +15,7 @@ from commcheck.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, build_arg_parser, main
 from commcheck.parser import parse_local_term
 from commcheck.sim import parse_trail
 from commcheck.terms import ground_term
+from commcheck.wf import check_wf
 
 from conftest import bundled_text
 
@@ -208,6 +209,29 @@ def test_verify_program_syntax_error(ring, tmp_path, capsys):
     )
     assert code == EXIT_FAIL
     assert "syntax error" in err
+
+
+@pytest.mark.parametrize("size", ["9", "7"])
+def test_verify_checks_well_formedness_once(ring, capsys, monkeypatch, size):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return check_wf(*args)
+
+    for module in ("commcheck.cli", "commcheck.checker"):
+        monkeypatch.setattr(f"{module}.check_wf", counting)
+    run(capsys, "verify", str(ring / "ring.mmp"), str(ring / "ring.cty"), "--param", f"size={size}")
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("report", [[], ["--report"]])
+def test_verify_reports_an_ill_formed_protocol_as_validate_does(ring, capsys, report):
+    cty = str(ring / "ring.cty")
+    want = run(capsys, "validate", cty, "--param", "size=7", *report)
+    assert want[0] == EXIT_FAIL and "refinement-violated" in want[2]
+    got = run(capsys, "verify", str(ring / "ring.mmp"), cty, "--param", "size=7", *report)
+    assert got == want
 
 
 # -- simulate -------------------------------------------------------------------

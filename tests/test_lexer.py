@@ -99,6 +99,10 @@ _RARE = "\r\xe9\u0663@#\x0b\xa0"
         "a//b\n c",
         "&& || == != <= >= & | = < > !",
         "\n\n@",
+        "a",
+        "\n",
+        "a\n\nb\n",
+        "x\r\ny\n",
     ],
 )
 def test_tokenizer_matches_the_reference_on_edge_cases(text):

@@ -145,6 +145,56 @@ def test_long_chain_projects_and_prints():
         assert format_term(views[rank]).splitlines() == expected[rank] + ["end"]
 
 
+def chain_text(n, seed):
+    rng = random.Random(seed)
+    lines = ["nprocs 3."]
+    for _ in range(n):
+        src, dst = rng.sample(range(3), 2)
+        lines.append(f"message({src},{dst},MPI_INT,{rng.randint(0, 9)}).")
+    return "\n".join(lines + ["end"])
+
+
+def test_project_all_evaluates_each_message_once(monkeypatch):
+    # One walk for every rank: a message's source, destination and
+    # length are evaluated once, not once per rank.
+    import commcheck.projection
+
+    calls = []
+
+    def counting(e, env):
+        calls.append(e)
+        return eval_expr(e, env)
+
+    proto = parse_protocol(chain_text(1_000, 3))
+    monkeypatch.setattr(commcheck.projection, "eval_expr", counting)
+    project_all(proto, {})
+    assert len(calls) == 3_000
+
+
+@pytest.mark.parametrize(
+    "body, views",
+    [
+        # A message to its own source is a send only.
+        ("message(1,1,MPI_INT,2).end", ["end", "send(1,MPI_INT,2).\nend", "end"]),
+        # Endpoints outside [0, nprocs) get no atom, and no other rank
+        # takes theirs.
+        (
+            "message(-1,2,MPI_INT,2).message(0,5,MPI_INT,1).end",
+            ["send(5,MPI_INT,1).\nend", "end", "receive(-1,MPI_INT,2).\nend"],
+        ),
+        # A negative length is kept as it is.
+        (
+            "message(0,1,MPI_INT,0-1).end",
+            ["send(1,MPI_INT,-1).\nend", "receive(0,MPI_INT,-1).\nend", "end"],
+        ),
+    ],
+)
+def test_projection_of_protocols_that_are_not_well_formed(body, views):
+    proto = parse_protocol("nprocs 3.\n" + body)
+    assert [format_term(v) for v in project_all(proto, {})] == views
+    assert [format_term(project(proto, {}, rank)) for rank in range(3)] == views
+
+
 def test_collectives_survive_at_every_rank():
     proto = parse_protocol("nprocs 4.\nbcast(2,MPI_FLOAT,8).allreduce(MPI_INT,1,MPI_SUM).end")
     for view in project_all(proto, {}):
@@ -203,6 +253,7 @@ def test_token_oracle_on_random_protocols():
                 env,
                 rank,
             )
+            assert project(proto, env, rank) == views[rank]
 
 
 def test_message_conservation_on_random_protocols():

@@ -12,7 +12,8 @@ from pathlib import Path
 
 import commcheck
 from commcheck.exprs import BinOp, Lit, Var
-from commcheck.parser import parse_local_term
+from commcheck.parser import parse_local_term, parse_protocol
+from commcheck.projection import project_all
 from commcheck.terms import (
     Choice,
     End,
@@ -131,6 +132,19 @@ def test_spine_and_rebuild_are_inverse():
         assert all(not isinstance(n, End) for n in nodes)
         assert rebuild(nodes) == t
         assert hash(rebuild(nodes)) == hash(t)
+
+
+def test_node_hash_is_computed_on_first_use():
+    lines = ["nprocs 3."]
+    lines += [f"message({i % 3},{(i + 1) % 3},MPI_INT,{i % 7})." for i in range(1_000)]
+    proto = parse_protocol("\n".join(lines + ["end"]))
+    terms = [proto.body, *project_all(proto, {})]
+    assert not any("_hash" in vars(node) for t in terms for node in spine(t))
+    for t in terms:
+        hash(t)  # one walk down the whole spine, without recursion
+        for node in reversed(spine(t)):
+            # the value an eager hash at construction gave, from the tail up
+            assert hash(node) == hash(node._values(node))
 
 
 # sha256 of the reprs of the terms in the test below, joined by
