@@ -126,10 +126,6 @@ def _require_params(protocol: Protocol, inst: Env) -> None:
         )
 
 
-def _require_wf(protocol: Protocol, inst: Env, path: str, report: bool) -> None:
-    _emit_wf(check_wf(protocol, inst), path, report)
-
-
 def _emit_wf(wf: WfReport, path: str, report: bool) -> None:
     """Report the protocol's well-formedness diagnostics; any is a defect."""
     for d in wf.diagnostics:
@@ -156,7 +152,7 @@ def _cmd_validate(args) -> int:
     protocol = _parse(args.protocol, parse_protocol)
     inst = _parse_params(args.param, args.manifest)
     _require_params(protocol, inst)
-    _require_wf(protocol, inst, args.protocol, args.report)
+    _emit_wf(check_wf(protocol, inst), args.protocol, args.report)
     print(f"{args.protocol}: well-formed for {protocol.num_procs} processes")
     return EXIT_OK
 
@@ -165,7 +161,7 @@ def _cmd_project(args) -> int:
     protocol = _parse(args.protocol, parse_protocol)
     inst = _parse_params(args.param, args.manifest)
     _require_params(protocol, inst)
-    _require_wf(protocol, inst, args.protocol, args.report)
+    _emit_wf(check_wf(protocol, inst), args.protocol, args.report)
     out_dir = Path(args.out)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -231,7 +227,7 @@ def _cmd_simulate(args) -> int:
     if len(paths) == 1 and paths[0].endswith(".cty"):
         protocol = _parse(paths[0], parse_protocol)
         _require_params(protocol, inst)
-        _require_wf(protocol, inst, paths[0], args.report)
+        _emit_wf(check_wf(protocol, inst), paths[0], args.report)
         views = list(project_all(protocol, inst).by_rank)
     else:
         views = []

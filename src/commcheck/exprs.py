@@ -101,8 +101,6 @@ def eval_expr(e: Expr, env: Env) -> int:
     if type(e) is Lit:  # most operands of a protocol are literals
         return _ranged(e.value)
     match e:
-        case Lit(value):
-            return _ranged(value)
         case Var(name):
             if name not in env:
                 raise UnboundVariable(name)

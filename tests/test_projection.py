@@ -12,7 +12,7 @@ import random
 
 import pytest
 
-from commcheck.exprs import Lit, eval_expr
+from commcheck.exprs import DivisionByZero, Lit, eval_expr
 from commcheck.parser import parse_local_term, parse_protocol
 from commcheck.printer import format_term
 from commcheck.projection import project, project_all
@@ -193,6 +193,19 @@ def test_projection_of_protocols_that_are_not_well_formed(body, views):
     proto = parse_protocol("nprocs 3.\n" + body)
     assert [format_term(v) for v in project_all(proto, {})] == views
     assert [format_term(project(proto, {}, rank)) for rank in range(3)] == views
+
+
+def test_a_length_is_evaluated_only_where_a_kept_rank_takes_part():
+    # Not well-formed: the length divides by zero. The ranks of the
+    # message need it, so they raise; rank 2 never evaluates it and gets
+    # its view. A walk that evaluated every length would raise for it too.
+    proto = parse_protocol("nprocs 3.\nmessage(0,1,MPI_INT,1/0).end")
+    assert project(proto, {}, 2) == End()
+    for rank in (0, 1):
+        with pytest.raises(DivisionByZero):
+            project(proto, {}, rank)
+    with pytest.raises(DivisionByZero):
+        project_all(proto, {})
 
 
 def test_collectives_survive_at_every_rank():
