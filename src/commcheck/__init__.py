@@ -22,17 +22,15 @@ from .exprs import (
     check_refinement,
     eval_expr,
     eval_pred,
-    expr_equal,
 )
 from .lexer import ParseError
-from .parser import parse_global_term, parse_local_term, parse_protocol
+from .parser import parse_local_term, parse_protocol
 from .printer import format_atom, format_expr, format_kind, format_pred, format_protocol, format_term
 from .program import Program, parse_program
 from .projection import ProjectionResult, project, project_all
 from .sim import (
     AllDone,
     Deadlock,
-    DecisionTape,
     DEFAULT_STATE_LIMIT,
     SimState,
     SimVerdict,
@@ -87,7 +85,6 @@ __all__ = [
     "Comm",
     "DataKind",
     "Deadlock",
-    "DecisionTape",
     "DEFAULT_STATE_LIMIT",
     "Env",
     "ExprError",
@@ -122,7 +119,6 @@ __all__ = [
     "eval_expr",
     "eval_pred",
     "explore_all_tapes",
-    "expr_equal",
     "first",
     "format_atom",
     "format_expr",
@@ -136,7 +132,6 @@ __all__ = [
     "loop_body",
     "loop_tape",
     "next_type",
-    "parse_global_term",
     "parse_local_term",
     "parse_program",
     "parse_protocol",

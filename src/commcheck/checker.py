@@ -14,6 +14,7 @@ program is compliant.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from .exprs import Env, ExprError, Pos, eval_expr, eval_pred
 from .program import (
@@ -32,7 +33,7 @@ from .program import (
     Stmt,
 )
 from .projection import project
-from .sim import DecisionTape
+from .sim import _tape_entry
 from .terms import Choice, Comm, DataKind, End, Loop, Protocol
 from .typestate import (
     Action,
@@ -281,23 +282,26 @@ def _walk_stmt(stmt: Stmt, t, state: _RankState):
 # ---------------------------------------------------------------------------
 
 
-def erase_to_trace(prog: Program, rank: int, env: Env, tape: DecisionTape) -> list[Action]:
+def erase_to_trace(prog: Program, rank: int, env: Env, tape: Sequence[bool]) -> list[Action]:
     """The communication actions `rank` performs, in order.
 
     `env` must bind the program's parameters and `np`; `me` is bound to
     `rank` here. `tape` supplies one boolean per collective-loop
-    arrival (continue or exit) and per collective choice. Erasure does
-    not consult any protocol, so it also applies to non-compliant
-    programs; expression errors and tape exhaustion raise.
+    arrival (continue or exit) and per collective choice, read by index
+    from its start, so one tape serves every rank. Erasure does not
+    consult any protocol, so it also applies to non-compliant programs;
+    expression errors and tape exhaustion raise.
     """
     scope: Env = {**env, "me": rank}
     buffers: dict[str, DataKind] = {}
     out: list[Action] = []
-    _erase(prog.body, scope, buffers, tape, out)
+    _erase(prog.body, scope, buffers, tape, 0, out)
     return out
 
 
-def _erase(stmts, scope: Env, buffers, tape: DecisionTape, out: list[Action]) -> None:
+def _erase(stmts, scope: Env, buffers, tape: Sequence[bool], taken: int, out: list[Action]) -> int:
+    """Append the actions of `stmts` to `out`, starting at decision
+    `taken` of `tape`; the number of decisions taken after them."""
     for stmt in stmts:
         match stmt:
             case Init() | CommSize() | CommRank() | Compute():
@@ -309,13 +313,17 @@ def _erase(stmts, scope: Env, buffers, tape: DecisionTape, out: list[Action]) ->
             case CommStmt():
                 out.append(_stmt_comm(stmt, buffers[stmt.buf], lambda e: eval_expr(e, scope)))
             case RankIf(guard, then_body, else_body):
-                _erase(then_body if eval_pred(guard, scope) else else_body, scope, buffers, tape, out)
+                body = then_body if eval_pred(guard, scope) else else_body
+                taken = _erase(body, scope, buffers, tape, taken, out)
             case CollLoop(body):
-                while tape.take():
-                    _erase(body, scope, buffers, tape, out)
+                while _tape_entry(tape, taken):
+                    taken = _erase(body, scope, buffers, tape, taken + 1, out)
+                taken += 1
             case CollChoice(then_body, else_body):
-                _erase(then_body if tape.take() else else_body, scope, buffers, tape, out)
+                body = then_body if _tape_entry(tape, taken) else else_body
+                taken = _erase(body, scope, buffers, tape, taken + 1, out)
             case Finalize():
                 out.append(FinalizeAction())
             case _:
                 raise TypeError(f"not a statement: {stmt!r}")
+    return taken

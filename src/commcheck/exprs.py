@@ -38,7 +38,6 @@ class ExprError(Exception):
 class UnboundVariable(ExprError):
     def __init__(self, name: str):
         super().__init__(f"unbound variable '{name}'")
-        self.name = name
 
 
 class DivisionByZero(ExprError):
@@ -49,7 +48,6 @@ class DivisionByZero(ExprError):
 class IntegerOverflow(ExprError):
     def __init__(self, value: int):
         super().__init__(f"value {value} exceeds the signed 64-bit range")
-        self.value = value
 
 
 class KindMismatch(ExprError):
@@ -137,11 +135,6 @@ def expr_vars(e: Expr) -> set[str]:
         case BinOp(_, lhs, rhs):
             return expr_vars(lhs) | expr_vars(rhs)
     raise TypeError(f"not an expression: {e!r}")
-
-
-def expr_equal(a: Expr, b: Expr, env: Env) -> bool:
-    """Semantic equality: both sides evaluate to the same value under `env`."""
-    return eval_expr(a, env) == eval_expr(b, env)
 
 
 # ---------------------------------------------------------------------------
@@ -250,30 +243,20 @@ NAT = NatKind()
 FLOAT = FloatKind()
 
 
-def desugar_kind(k: Kind) -> Kind:
-    """Rewrite `nat` as int refined by nonnegativity. Idempotent."""
-    match k:
-        case NatKind():
-            return RefinedKind(INT, Refinement("n", Cmp(">=", Var("n"), Lit(0))))
-        case RefinedKind(base, r):
-            return RefinedKind(desugar_kind(base), r)
-        case ArrayKind(elem, length):
-            return ArrayKind(desugar_kind(elem), length)
-        case _:
-            return k
-
-
 def check_refinement(k: Kind, value: int, env: Env) -> bool:
     """Whether `value` satisfies every refinement layer of `k` under `env`.
 
     Each refinement predicate is evaluated with the environment extended
     by the bound variable, so earlier parameters stay in scope. Raises
-    KindMismatch when `k` is not integer-valued (float or array).
+    KindMismatch when `k` is not integer-valued (float or array). `nat`
+    is int refined by nonnegativity; like a refinement's bound variable,
+    its value must lie in the signed 64-bit range.
     """
-    k = desugar_kind(k)
     match k:
         case IntKind():
             return True
+        case NatKind():
+            return _ranged(value) >= 0
         case RefinedKind(base, r):
             if not check_refinement(base, value, env):
                 return False

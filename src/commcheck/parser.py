@@ -47,7 +47,6 @@ from .terms import (
     Choice,
     DataKind,
     GlobalAtom,
-    GlobalType,
     LocalAtom,
     LocalType,
     Loop,
@@ -395,10 +394,3 @@ def parse_local_term(text: str) -> LocalType:
     parser.expect_eof()
     return term
 
-
-def parse_global_term(text: str) -> GlobalType:
-    """Parse a bare global type term (no binders, no process count)."""
-    parser = _ProtocolParser(text)
-    term = parser.parse_type(local=False)
-    parser.expect_eof()
-    return term

@@ -62,38 +62,20 @@ class TapeExhausted(Exception):
     """A collective decision was needed but the tape had no entry left."""
 
 
-def _tape_entry(entries: tuple[bool, ...], i: int) -> bool:
-    if i >= len(entries):
-        raise TapeExhausted(f"decision {i + 1} requested but the tape has {len(entries)} entries")
-    return entries[i]
+def _tape_entry(tape: Sequence[bool], i: int) -> bool:
+    """Decision `i` of `tape`. A tape is a plain sequence of booleans,
+    one per collective-loop arrival (True: run the body once more;
+    False: exit) and one per collective choice (True: first branch).
+    Every rank reads the same entries by index, which is what makes the
+    decisions collective."""
+    if i >= len(tape):
+        raise TapeExhausted(f"decision {i + 1} requested but the tape has {len(tape)} entries")
+    return bool(tape[i])
 
 
-class DecisionTape:
-    """A finite, shared sequence of collective decisions.
-
-    One boolean is consumed per collective-loop arrival (True: run the
-    body once more; False: exit) and one per collective choice (True:
-    first branch). Every rank reads the same tape in lockstep, which is
-    what makes the decisions collective.
-    """
-
-    def __init__(self, entries: Sequence[bool]):
-        self.entries = tuple(bool(b) for b in entries)
-        self._next = 0
-
-    def take(self) -> bool:
-        value = _tape_entry(self.entries, self._next)
-        self._next += 1
-        return value
-
-    @property
-    def consumed(self) -> int:
-        return self._next
-
-
-def loop_tape(iterations: int, *choices: bool) -> DecisionTape:
+def loop_tape(iterations: int, *choices: bool) -> tuple[bool, ...]:
     """Tape for one loop run `iterations` times, then further decisions."""
-    return DecisionTape([True] * iterations + [False] + list(choices))
+    return (True,) * iterations + (False,) + choices
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +315,7 @@ def _explore(
 
 def simulate(
     locals_: Sequence[LocalType],
-    tape: DecisionTape | Sequence[bool],
+    tape: Sequence[bool],
     *,
     state_limit: int = DEFAULT_STATE_LIMIT,
     por: bool = False,
@@ -346,10 +328,8 @@ def simulate(
     Raises TapeExhausted if the tape runs dry at a decision point
     reachable before every rank finishes.
     """
-    entries = tape.entries if isinstance(tape, DecisionTape) else tuple(bool(b) for b in tape)
-
     def follow_tape(taken: int, state: State, step: DecisionStep) -> int | None:
-        return taken + 1 if _tape_entry(entries, taken) == step.enter else None
+        return taken + 1 if _tape_entry(tape, taken) == step.enter else None
 
     return _explore(locals_, 0, follow_tape, state_limit, por)
 
@@ -424,6 +404,10 @@ def format_trail(trail: Sequence[Step]) -> str:
 
 
 def parse_trail(text: str) -> tuple[Step, ...]:
+    """The steps of a witness, one per line exactly as `format_trail`
+    writes it, up to spacing; blank lines and `#` comments are skipped.
+    Any other line is refused, so a read witness replays the schedule
+    that was written."""
     steps: list[Step] = []
     for raw in text.splitlines():
         line = raw.strip()
@@ -433,26 +417,24 @@ def parse_trail(text: str) -> tuple[Step, ...]:
         try:
             if parts[0] == "p2p":
                 kv = dict(p.split("=", 1) for p in parts[1:])
-                steps.append(
-                    P2PStep(int(kv["src"]), int(kv["dst"]), DataKind(kv["dtype"]), int(kv["len"]))
-                )
-            elif parts[0] == "coll":
+                step = P2PStep(int(kv["src"]), int(kv["dst"]), DataKind(kv["dtype"]), int(kv["len"]))
+            elif parts[0] == "coll" and parts[1] in _COLLECTIVES:
                 kind = parts[1]
-                if kind not in _COLLECTIVES:
-                    raise ValueError(f"unknown collective {kind!r}")
                 kv = dict(p.split("=", 1) for p in parts[2:])
                 # `format_trail` writes an op for an allreduce, a root for the others
                 root = None if kind == "allreduce" else int(kv["root"])
                 op = ReduceOp(kv["op"]) if kind == "allreduce" else None
-                steps.append(Comm(kind, root, DataKind(kv["dtype"]), int(kv["len"]), op))
-            elif parts[0] == "decision":
-                if parts[1] not in ("loop", "choice") or parts[2] not in ("enter", "skip"):
-                    raise ValueError("expected 'decision loop|choice enter|skip'")
-                steps.append(DecisionStep(parts[1], parts[2] == "enter"))
+                step = Comm(kind, root, DataKind(kv["dtype"]), int(kv["len"]), op)
+            elif parts[0] == "decision" and parts[1] in _DECISIONS:
+                step = DecisionStep(parts[1], parts[2] == "enter")
             else:
-                raise ValueError(f"unknown step kind {parts[0]!r}")
+                raise ValueError(f"unknown step {' '.join(parts[:2])!r}")
+            written = format_trail((step,))
+            if written != " ".join(parts):
+                raise ValueError(f"format_trail writes this step as {written!r}")
         except (KeyError, IndexError, ValueError) as err:
             raise ValueError(f"malformed witness line {line!r}: {err}") from None
+        steps.append(step)
     return tuple(steps)
 
 

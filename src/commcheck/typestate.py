@@ -87,21 +87,17 @@ class NotAPrefix(StepError):
 
     def __init__(self, expected: str, found: str):
         super().__init__(f"expected {expected}, but the local type is {found}")
-        self.expected = expected
-        self.found = found
 
 
 class HeadMismatch(StepError):
-    """Action and head prefix disagree; `fields` lists what differs."""
+    """Action and head prefix disagree in `fields`, most significant
+    first; the first one names the code."""
 
     def __init__(self, atom: LocalAtom, action: Action, fields: tuple[str, ...]):
         super().__init__(
             f"action {describe_action(action)} does not match the expected"
             f" {format_atom(atom)} (differs in {', '.join(fields)})"
         )
-        self.atom = atom
-        self.action = action
-        self.fields = fields
         self.code = f"head-mismatch:{fields[0]}"
 
 
@@ -114,19 +110,17 @@ class AtCollectiveBoundary(StepError):
             f"the local type is at a collective {kind}, but the program"
             f" performs {describe_action(action)} without entering one"
         )
-        self.kind = kind
         self.code = f"at-collective-boundary:{kind}"
 
 
 class ResidualNotEnd(StepError):
     code = "residual-not-end"
 
-    def __init__(self, residual: LocalType, where: str = "finalize"):
+    def __init__(self, residual: LocalType):
         super().__init__(
-            f"obligations remain at {where}: the residual local type is"
+            "obligations remain at finalize: the residual local type is"
             f" {describe_node(residual)}, not end"
         )
-        self.residual = residual
 
 
 class BufferObligation(StepError):

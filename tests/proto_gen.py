@@ -9,6 +9,7 @@ inputs can be sampled without rejection loops.
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 from commcheck.exprs import BinOp, Cmp, Env, Lit, NAT, RefinedKind, Refinement, Var
 from commcheck.terms import (
@@ -190,45 +191,102 @@ def random_action(rng: random.Random, num_procs: int = 4) -> Action:
 # ---------------------------------------------------------------------------
 
 
-def _swap_sites(t: TypeTerm, inside: bool) -> int:
+def _rewrite_runs(t: TypeTerm, inside: bool, width: int, fits, visit) -> TypeTerm:
+    """`t` rebuilt, offering `visit` each run of `width` adjacent atoms
+    inside a loop body or a choice branch whose atoms `fits`, in spine
+    order, a loop's or a choice's runs where the node stands. `visit`
+    returns the atoms to put in place of the run, or None to keep it."""
     nodes = spine(t)
-    sites = 0
-    if inside:
-        sites = sum(isinstance(a, Prefix) and isinstance(b, Prefix) for a, b in zip(nodes, nodes[1:]))
-    for node in nodes:
-        if isinstance(node, Loop):
-            sites += _swap_sites(node.body, True)
-        elif isinstance(node, Choice):
-            sites += _swap_sites(node.true_branch, True) + _swap_sites(node.false_branch, True)
-    return sites
-
-
-def _swap(t: TypeTerm, inside: bool, target: list[int]) -> TypeTerm:
-    # `target[0]` counts down the sites passed, in the order `_swap_sites` counts them.
-    nodes = spine(t)
-    heads: list[tuple] = []
+    heads: list = []
     i = 0
     while i < len(nodes):
-        node = nodes[i]
-        if inside and isinstance(node, Prefix) and i + 1 < len(nodes) and isinstance(nodes[i + 1], Prefix):
-            target[0] -= 1
-            if target[0] == -1:
-                heads += [(Prefix, nodes[i + 1].atom), (Prefix, node.atom)]
-                i += 2
+        run = nodes[i : i + width]
+        if inside and len(run) == width and all(isinstance(n, Prefix) for n in run):
+            atoms = [n.atom for n in run]
+            new = visit(atoms) if fits(atoms) else None
+            if new is not None:
+                heads += [(Prefix, a) for a in new]
+                i += width
                 continue
-        if isinstance(node, Prefix):
-            heads.append((Prefix, node.atom))
-        elif isinstance(node, Loop):
-            heads.append((Loop, _swap(node.body, True, target)))
+        node = nodes[i]
+        if isinstance(node, Loop):
+            heads.append((Loop, _rewrite_runs(node.body, True, width, fits, visit)))
+        elif isinstance(node, Choice):
+            tb = _rewrite_runs(node.true_branch, True, width, fits, visit)
+            fb = _rewrite_runs(node.false_branch, True, width, fits, visit)
+            heads.append((Choice, tb, fb))
         else:
-            heads.append((Choice, _swap(node.true_branch, True, target), _swap(node.false_branch, True, target)))
+            heads.append(node)
         i += 1
     return rebuild(heads)
+
+
+def _mutate(rng: random.Random, view: LocalType, width: int, fits, edit) -> LocalType | None:
+    """`view` with one run of `width` adjacent atoms that `fits`, chosen
+    at random among those inside a loop body or a choice branch at any
+    depth, replaced by `edit(atoms)`; None if it has no such run."""
+    runs: list = []
+    _rewrite_runs(view, False, width, fits, runs.append)
+    if not runs:
+        return None
+    left = [rng.randrange(len(runs))]
+
+    def visit(atoms):
+        left[0] -= 1
+        return edit(atoms) if left[0] == -1 else None
+
+    return _rewrite_runs(view, False, width, fits, visit)
+
+
+def _point(rng: random.Random, view: LocalType, fits, edit) -> LocalType | None:
+    """`view` with one atom that `fits`, placed as `_mutate` places, replaced by `edit(atom)`."""
+    return _mutate(rng, view, 1, lambda atoms: fits(atoms[0]), lambda atoms: [edit(atoms[0])])
+
+
+def _p2p(atom) -> bool:
+    return isinstance(atom, (Send, Receive))
+
+
+def _any(atom) -> bool:
+    return True
 
 
 def swap_adjacent_atoms(rng: random.Random, view: LocalType) -> LocalType | None:
     """`view` with two adjacent atoms swapped at one place, chosen at
     random, inside a loop body or a choice branch; None if it has no
     such place."""
-    sites = _swap_sites(view, False)
-    return _swap(view, False, [rng.randrange(sites)]) if sites else None
+    return _mutate(rng, view, 2, lambda atoms: True, lambda atoms: atoms[::-1])
+
+
+def flip_direction(rng: random.Random, view: LocalType) -> LocalType | None:
+    """`view` with one send turned into a receive from the same peer, or
+    one receive into a send."""
+    flipped = {Send: Receive, Receive: Send}
+    return _point(rng, view, _p2p, lambda a: flipped[type(a)](a.peer, a.dtype, a.length))
+
+
+def change_peer(rng: random.Random, view: LocalType) -> LocalType | None:
+    """`view` with one send's or receive's peer moved to a neighbouring
+    rank, which at the edges lies outside the ensemble."""
+    step = rng.choice((-1, 1))
+    return _point(rng, view, _p2p, lambda a: replace(a, peer=Lit(a.peer.value + step)))
+
+
+def change_count(rng: random.Random, view: LocalType) -> LocalType | None:
+    """`view` with one atom's count raised by one."""
+    return _point(rng, view, _any, lambda a: replace(a, length=Lit(a.length.value + 1)))
+
+
+def change_dtype(rng: random.Random, view: LocalType) -> LocalType | None:
+    """`view` with one atom's data kind swapped for the other generated one."""
+    other = {DataKind.INT: DataKind.FLOAT, DataKind.FLOAT: DataKind.INT}
+    return _point(rng, view, _any, lambda a: replace(a, dtype=other[a.dtype]))
+
+
+# The mutations of one atom, by the label a test gives its ensembles.
+POINT_MUTATIONS = {
+    "flipped": flip_direction,
+    "repeered": change_peer,
+    "recounted": change_count,
+    "retyped": change_dtype,
+}

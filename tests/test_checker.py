@@ -7,7 +7,7 @@ import pytest
 from commcheck.checker import IllFormedProtocol, check_compliance, erase_to_trace
 from commcheck.parser import parse_protocol
 from commcheck.program import parse_program
-from commcheck.sim import DecisionTape, loop_tape
+from commcheck.sim import TapeExhausted, loop_tape
 from commcheck.terms import Comm, DataKind, ReduceOp
 from commcheck.typestate import FinalizeAction
 from commcheck.wf import check_wf
@@ -234,10 +234,10 @@ def test_erasure_of_ring_rank0(fdiff_program_text):
 def test_erasure_zero_iterations(fdiff_program_text):
     prog = parse_program(fdiff_program_text)
     env = {"size": 9, "np": 3}
-    actions = erase_to_trace(prog, 1, env, DecisionTape([False, True]))
+    actions = erase_to_trace(prog, 1, env, (False, True))
     assert [a.kind for a in actions[:-1]] == ["scatter", "gather"]
     assert actions[-1] == FinalizeAction()
-    actions = erase_to_trace(prog, 1, env, DecisionTape([False, False]))
+    actions = erase_to_trace(prog, 1, env, (False, False))
     assert [a.kind for a in actions[:-1]] == ["scatter"]
     assert actions[-1] == FinalizeAction()
 
@@ -256,26 +256,34 @@ def test_erasure_is_protocol_independent():
     prog = parse_program(
         "buffer b int[1]\ninit\nsend peer=0 buf=b len=1\nfinalize\n"
     )
-    actions = erase_to_trace(prog, 0, {"np": 1}, DecisionTape([]))
+    actions = erase_to_trace(prog, 0, {"np": 1}, ())
     assert actions == [Comm("send", 0, DataKind.INT, 1), FinalizeAction()]
 
 
 def test_erasure_minimal_program():
     prog = parse_program("init\nfinalize\n")
-    assert erase_to_trace(prog, 0, {"np": 2}, DecisionTape([])) == [FinalizeAction()]
+    assert erase_to_trace(prog, 0, {"np": 2}, ()) == [FinalizeAction()]
 
 
 def test_erasure_consumes_the_tape_in_lockstep(fdiff_program_text):
+    # two loop entries, the exit, then the choice: True, True, False, True
     prog = parse_program(fdiff_program_text)
     env = {"size": 9, "np": 3}
     tape = loop_tape(2, True)
-    erase_to_trace(prog, 0, env, tape)
-    assert tape.consumed == 4  # True, True, False, True
+    assert erase_to_trace(prog, 0, env, tape[:4]) == erase_to_trace(prog, 0, env, tape + (False,))
+    with pytest.raises(TapeExhausted, match="decision 4 requested but the tape has 3 entries"):
+        erase_to_trace(prog, 0, env, tape[:3])
+
+
+def test_one_tape_serves_every_rank(fdiff_flat_program_text):
+    prog = parse_program(fdiff_flat_program_text)
+    env = {"size": 9, "np": 3}
+    tape = loop_tape(1, True)
+    shared = [erase_to_trace(prog, r, env, tape) for r in range(3)]
+    assert shared == [erase_to_trace(prog, r, env, loop_tape(1, True)) for r in range(3)]
 
 
 def test_erasure_tape_exhaustion(fdiff_program_text):
-    from commcheck.sim import TapeExhausted
-
     prog = parse_program(fdiff_program_text)
     with pytest.raises(TapeExhausted):
-        erase_to_trace(prog, 0, {"size": 9, "np": 3}, DecisionTape([True]))
+        erase_to_trace(prog, 0, {"size": 9, "np": 3}, (True,))

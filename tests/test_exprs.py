@@ -27,10 +27,8 @@ from commcheck.exprs import (
     UnboundVariable,
     Var,
     check_refinement,
-    desugar_kind,
     eval_expr,
     eval_pred,
-    expr_equal,
     expr_vars,
 )
 
@@ -128,10 +126,11 @@ def test_expr_vars():
 
 
 def test_expr_equal_is_semantic():
-    assert expr_equal(b("/", Var("size"), 3), Lit(3), {"size": 9})
-    assert not expr_equal(b("/", Var("size"), 3), Lit(3), {"size": 12})
+    # Equality of expressions is equality of their values in one environment.
+    assert eval_expr(b("/", Var("size"), 3), {"size": 9}) == eval_expr(Lit(3), {})
+    assert eval_expr(b("/", Var("size"), 3), {"size": 12}) != eval_expr(Lit(3), {})
     with pytest.raises(UnboundVariable):
-        expr_equal(Var("size"), Lit(3), {})
+        eval_expr(Var("size"), {})
 
 
 def test_expr_equal_is_an_equivalence_per_env():
@@ -144,9 +143,9 @@ def test_expr_equal_is_an_equivalence_per_env():
             b("*", Var("x"), 1),
             Lit(env["x"] + env["y"]),
         ]
-        assert expr_equal(exprs[0], exprs[1], env)
-        assert expr_equal(exprs[0], exprs[3], env)
-        assert expr_equal(exprs[2], Var("x"), env)
+        assert eval_expr(exprs[0], env) == eval_expr(exprs[1], env)
+        assert eval_expr(exprs[0], env) == eval_expr(exprs[3], env)
+        assert eval_expr(exprs[2], env) == eval_expr(Var("x"), env)
 
 
 def test_predicates():
@@ -158,14 +157,15 @@ def test_predicates():
     assert eval_pred(Not(Cmp(">=", Var("n"), Lit(10))), env)
 
 
-def test_nat_desugars_to_nonnegative_int():
-    k = desugar_kind(NAT)
-    assert isinstance(k, RefinedKind)
-    assert desugar_kind(k) == k  # idempotent
+def test_nat_is_a_nonnegative_int_in_range():
     rng = random.Random(11)
     for _ in range(200):
         v = rng.randint(-50, 50)
         assert check_refinement(NAT, v, {}) == (v >= 0)
+    assert check_refinement(NAT, INT64_MAX, {})
+    for v in (INT64_MAX + 1, INT64_MIN - 1):
+        with pytest.raises(IntegerOverflow):
+            check_refinement(NAT, v, {})
 
 
 def test_refinement_checking():

@@ -6,6 +6,8 @@ check. `__init__` is exempt: it imports names to re-export them.
 
 No module enlarges the interpreter's stack or recursion limit, so a
 walk that recurses along a spine cannot pass for an iterative one.
+
+`__all__` of the package lists each name `__init__` imports, once.
 """
 
 from __future__ import annotations
@@ -74,3 +76,29 @@ def test_the_check_sees_a_stack_resizer():
         "4: setrecursionlimit",
         "5: stack_size",
     ]
+
+
+def export_drift(source: str) -> list[str]:
+    """Names `__all__` lists twice, lists without importing them, or
+    leaves out though imported."""
+    tree = ast.parse(source)
+    imported = {a.asname or a.name for n in tree.body if isinstance(n, ast.ImportFrom) for a in n.names}
+    exported = next(
+        ast.literal_eval(n.value)
+        for n in tree.body
+        if isinstance(n, ast.Assign) and [t.id for t in n.targets] == ["__all__"]
+    )
+    return (
+        [f"twice: {n}" for n in sorted({n for n in exported if exported.count(n) > 1})]
+        + [f"not imported: {n}" for n in sorted(set(exported) - imported)]
+        + [f"not exported: {n}" for n in sorted(imported - set(exported))]
+    )
+
+
+def test_the_export_list_is_exactly_what_init_imports():
+    assert export_drift(Path(commcheck.__file__).read_text()) == []
+
+
+def test_the_check_sees_export_drift():
+    source = "from .a import x, y\nfrom .b import w as v\n__all__ = ['x', 'v', 'x', 'z']\n"
+    assert export_drift(source) == ["twice: x", "not imported: z", "not exported: y"]

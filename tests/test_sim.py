@@ -13,7 +13,6 @@ from commcheck.sim import (
     AllDone,
     Deadlock,
     DecisionStep,
-    DecisionTape,
     P2PStep,
     StateSpaceExceeded,
     TapeExhausted,
@@ -399,6 +398,14 @@ def test_parse_trail_rejects_junk():
         "coll frob root=0 dtype=MPI_INT len=1",
         "coll allreduce dtype=MPI_INT len=1",
         "coll bcast dtype=MPI_INT len=1",
+        "p2p src=0 dst=1 dtype=MPI_INT len=1 len=2",
+        "p2p src=0 dst=1 dtype=MPI_INT len=1 color=red",
+        "decision loop enter now",
+        "coll allreduce root=0 dtype=MPI_INT len=1 op=MPI_SUM",
+        "coll bcast root=0 dtype=MPI_INT len=1 op=MPI_SUM",
+        "p2p src=0 dst=1 dtype=MPI_INT len=\u0661",
+        "p2p src=0 dst=1 dtype=MPI_INT len=1_0",
+        "p2p src=+0 dst=1 dtype=MPI_INT len=1",
     ],
 )
 def test_parse_trail_rejects_a_line_format_trail_never_writes(line):

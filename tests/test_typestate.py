@@ -102,7 +102,7 @@ def test_head_mismatch_peer():
     with pytest.raises(HeadMismatch) as err:
         step(lt("send(1,MPI_INT,4).end"), Comm("send", 0, DataKind.INT, 4))
     assert err.value.code == "head-mismatch:peer"
-    assert err.value.fields == ("peer",)
+    assert str(err.value).endswith("(differs in peer)")
 
 
 def test_head_mismatch_root():
@@ -134,7 +134,7 @@ def test_head_mismatch_kind_wins_over_field_diffs():
     with pytest.raises(HeadMismatch) as err:
         step(lt("send(1,MPI_INT,4).end"), Comm("receive", 0, DataKind.FLOAT, 2))
     assert err.value.code == "head-mismatch:kind"
-    assert err.value.fields == ("kind",)
+    assert str(err.value).endswith("(differs in kind)")
 
 
 def test_multiple_field_diffs_listed_most_significant_first():
