@@ -190,90 +190,92 @@ def _eval(e, state: _RankState, pos: Pos | None) -> int:
         raise AssertionError  # unreachable
 
 
-def _stmt_comm(stmt: CommStmt, elem: DataKind, value) -> Comm:
+def _stmt_comm(stmt: CommStmt, elem: DataKind, env: Env) -> Comm:
     """The communication `stmt` performs on a buffer of `elem` elements,
-    with `value` evaluating its length, then its peer or root."""
-    count = value(stmt.length)
-    who = None if stmt.who is None else value(stmt.who)
+    its length evaluated under `env` first, then its peer or root."""
+    count = eval_expr(stmt.length, env)
+    who = None if stmt.who is None else eval_expr(stmt.who, env)
     return Comm(stmt.kind, who, elem, count, stmt.op)
 
 
 def _walk_stmt(stmt: Stmt, t, state: _RankState):
-    match stmt:
-        case Init() | CommSize() | CommRank() | Compute():
-            return t
-        case Let(name, value):
-            state.env[name] = _eval(value, state, stmt.pos)
-            return t
-        case BufferDecl(name, elem, capacity):
-            size = _eval(capacity, state, stmt.pos)
-            if size < 0:
-                state.fail(
-                    "negative-capacity", f"buffer '{name}' has capacity {size}", stmt.pos
-                )
-            state.buffers[name] = BufferFacts(elem, size)
-            return t
-        case CommStmt():
-            buf = state.buffers.get(stmt.buf)
-            if buf is None:
-                state.fail("unknown-buffer", f"no buffer named '{stmt.buf}'", stmt.pos)
-            action = _stmt_comm(stmt, buf.elem, lambda e: _eval(e, state, stmt.pos))
-            try:
-                return step(t, action, buf)
-            except StepError as err:
-                state.fail(err.code, str(err), stmt.pos)
-        case RankIf(guard, then_body, else_body):
-            try:
-                taken = eval_pred(guard, state.env)
-            except ExprError as err:
-                state.fail("eval-error", str(err), stmt.pos)
-            return _walk(then_body if taken else else_body, t, state)
-        case CollLoop(body):
-            state.decisions.append(("loop", id(stmt)))
-            if not isinstance(t, Loop):
-                state.fail(
-                    "expected-loop",
-                    f"program enters a collective loop but the protocol is at"
-                    f" {describe_node(t)}",
-                    stmt.pos,
-                )
-            residual = _walk(body, t.body, state)
+    if isinstance(stmt, CommStmt):
+        buf = state.buffers.get(stmt.buf)
+        if buf is None:
+            state.fail("unknown-buffer", f"no buffer named '{stmt.buf}'", stmt.pos)
+        try:
+            action = _stmt_comm(stmt, buf.elem, state.env)
+        except ExprError as err:
+            state.fail("eval-error", str(err), stmt.pos)
+        try:
+            return step(t, action, buf)
+        except StepError as err:
+            state.fail(err.code, str(err), stmt.pos)
+    if isinstance(stmt, RankIf):
+        try:
+            taken = eval_pred(stmt.guard, state.env)
+        except ExprError as err:
+            state.fail("eval-error", str(err), stmt.pos)
+        return _walk(stmt.then_body if taken else stmt.else_body, t, state)
+    if isinstance(stmt, Let):
+        state.env[stmt.name] = _eval(stmt.value, state, stmt.pos)
+        return t
+    if isinstance(stmt, BufferDecl):
+        size = _eval(stmt.capacity, state, stmt.pos)
+        if size < 0:
+            state.fail(
+                "negative-capacity", f"buffer '{stmt.name}' has capacity {size}", stmt.pos
+            )
+        state.buffers[stmt.name] = BufferFacts(stmt.elem, size)
+        return t
+    if isinstance(stmt, (Init, CommSize, CommRank, Compute)):
+        return t
+    if isinstance(stmt, CollLoop):
+        state.decisions.append(("loop", id(stmt)))
+        if not isinstance(t, Loop):
+            state.fail(
+                "expected-loop",
+                f"program enters a collective loop but the protocol is at"
+                f" {describe_node(t)}",
+                stmt.pos,
+            )
+        residual = _walk(stmt.body, t.body, state)
+        if not isinstance(residual, End):
+            state.fail(
+                "residual-not-end",
+                f"collective loop body leaves the protocol at"
+                f" {describe_node(residual)}, not end",
+                stmt.pos,
+            )
+        return t.cont
+    if isinstance(stmt, CollChoice):
+        state.decisions.append(("choice", id(stmt)))
+        if not isinstance(t, Choice):
+            state.fail(
+                "expected-choice",
+                f"program enters a collective choice but the protocol is at"
+                f" {describe_node(t)}",
+                stmt.pos,
+            )
+        for branch_body, branch_type, name in (
+            (stmt.then_body, t.true_branch, "true"),
+            (stmt.else_body, t.false_branch, "false"),
+        ):
+            residual = _walk(branch_body, branch_type, state)
             if not isinstance(residual, End):
                 state.fail(
                     "residual-not-end",
-                    f"collective loop body leaves the protocol at"
+                    f"collective choice {name} branch leaves the protocol at"
                     f" {describe_node(residual)}, not end",
                     stmt.pos,
                 )
-            return t.cont
-        case CollChoice(then_body, else_body):
-            state.decisions.append(("choice", id(stmt)))
-            if not isinstance(t, Choice):
-                state.fail(
-                    "expected-choice",
-                    f"program enters a collective choice but the protocol is at"
-                    f" {describe_node(t)}",
-                    stmt.pos,
-                )
-            for branch_body, branch_type, name in (
-                (then_body, t.true_branch, "true"),
-                (else_body, t.false_branch, "false"),
-            ):
-                residual = _walk(branch_body, branch_type, state)
-                if not isinstance(residual, End):
-                    state.fail(
-                        "residual-not-end",
-                        f"collective choice {name} branch leaves the protocol at"
-                        f" {describe_node(residual)}, not end",
-                        stmt.pos,
-                    )
-            return t.cont
-        case Finalize():
-            try:
-                check_finalized(t)
-            except ResidualNotEnd as err:
-                state.fail(err.code, str(err), stmt.pos)
-            return t
+        return t.cont
+    if isinstance(stmt, Finalize):
+        try:
+            check_finalized(t)
+        except ResidualNotEnd as err:
+            state.fail(err.code, str(err), stmt.pos)
+        return t
     raise TypeError(f"not a statement: {stmt!r}")
 
 
@@ -303,27 +305,26 @@ def _erase(stmts, scope: Env, buffers, tape: Sequence[bool], taken: int, out: li
     """Append the actions of `stmts` to `out`, starting at decision
     `taken` of `tape`; the number of decisions taken after them."""
     for stmt in stmts:
-        match stmt:
-            case Init() | CommSize() | CommRank() | Compute():
-                pass
-            case Let(name, value):
-                scope[name] = eval_expr(value, scope)
-            case BufferDecl(name, elem, _):
-                buffers[name] = elem
-            case CommStmt():
-                out.append(_stmt_comm(stmt, buffers[stmt.buf], lambda e: eval_expr(e, scope)))
-            case RankIf(guard, then_body, else_body):
-                body = then_body if eval_pred(guard, scope) else else_body
-                taken = _erase(body, scope, buffers, tape, taken, out)
-            case CollLoop(body):
-                while _tape_entry(tape, taken):
-                    taken = _erase(body, scope, buffers, tape, taken + 1, out)
-                taken += 1
-            case CollChoice(then_body, else_body):
-                body = then_body if _tape_entry(tape, taken) else else_body
-                taken = _erase(body, scope, buffers, tape, taken + 1, out)
-            case Finalize():
-                out.append(FinalizeAction())
-            case _:
-                raise TypeError(f"not a statement: {stmt!r}")
+        if isinstance(stmt, CommStmt):
+            out.append(_stmt_comm(stmt, buffers[stmt.buf], scope))
+        elif isinstance(stmt, RankIf):
+            body = stmt.then_body if eval_pred(stmt.guard, scope) else stmt.else_body
+            taken = _erase(body, scope, buffers, tape, taken, out)
+        elif isinstance(stmt, Let):
+            scope[stmt.name] = eval_expr(stmt.value, scope)
+        elif isinstance(stmt, BufferDecl):
+            buffers[stmt.name] = stmt.elem
+        elif isinstance(stmt, (Init, CommSize, CommRank, Compute)):
+            pass
+        elif isinstance(stmt, CollLoop):
+            while _tape_entry(tape, taken):
+                taken = _erase(stmt.body, scope, buffers, tape, taken + 1, out)
+            taken += 1
+        elif isinstance(stmt, CollChoice):
+            body = stmt.then_body if _tape_entry(tape, taken) else stmt.else_body
+            taken = _erase(body, scope, buffers, tape, taken + 1, out)
+        elif isinstance(stmt, Finalize):
+            out.append(FinalizeAction())
+        else:
+            raise TypeError(f"not a statement: {stmt!r}")
     return taken

@@ -98,31 +98,31 @@ def eval_expr(e: Expr, env: Env) -> int:
     """
     if type(e) is Lit:  # most operands of a protocol are literals
         return _ranged(e.value)
-    match e:
-        case Var(name):
-            if name not in env:
-                raise UnboundVariable(name)
-            return _ranged(env[name])
-        case BinOp(op, lhs, rhs):
-            a = eval_expr(lhs, env)
-            b = eval_expr(rhs, env)
-            if op == "+":
-                return _ranged(a + b)
-            if op == "-":
-                return _ranged(a - b)
-            if op == "*":
-                return _ranged(a * b)
-            if op == "/":
-                if b == 0:
-                    raise DivisionByZero(f"{a}/{b}")
-                return _ranged(_c_quotient(a, b))
-            if op == "%":
-                if b == 0:
-                    raise DivisionByZero(f"{a}%{b}")
-                # The implied quotient must be representable too.
-                q = _ranged(_c_quotient(a, b))
-                return _ranged(a - q * b)
-            raise ValueError(f"unknown operator {op!r}")
+    if isinstance(e, Var):
+        if e.name not in env:
+            raise UnboundVariable(e.name)
+        return _ranged(env[e.name])
+    if isinstance(e, BinOp):
+        op = e.op
+        a = eval_expr(e.lhs, env)
+        b = eval_expr(e.rhs, env)
+        if op == "+":
+            return _ranged(a + b)
+        if op == "-":
+            return _ranged(a - b)
+        if op == "*":
+            return _ranged(a * b)
+        if op == "/":
+            if b == 0:
+                raise DivisionByZero(f"{a}/{b}")
+            return _ranged(_c_quotient(a, b))
+        if op == "%":
+            if b == 0:
+                raise DivisionByZero(f"{a}%{b}")
+            # The implied quotient must be representable too.
+            q = _ranged(_c_quotient(a, b))
+            return _ranged(a - q * b)
+        raise ValueError(f"unknown operator {op!r}")
     raise TypeError(f"not an expression: {e!r}")
 
 
@@ -170,29 +170,29 @@ Pred = Union[Cmp, And, Or, Not]
 
 
 def eval_pred(p: Pred, env: Env) -> bool:
-    match p:
-        case Cmp(op, lhs, rhs):
-            a = eval_expr(lhs, env)
-            b = eval_expr(rhs, env)
-            if op == "==":
-                return a == b
-            if op == "!=":
-                return a != b
-            if op == "<":
-                return a < b
-            if op == "<=":
-                return a <= b
-            if op == ">":
-                return a > b
-            if op == ">=":
-                return a >= b
-            raise ValueError(f"unknown comparison {op!r}")
-        case And(lhs, rhs):
-            return eval_pred(lhs, env) and eval_pred(rhs, env)
-        case Or(lhs, rhs):
-            return eval_pred(lhs, env) or eval_pred(rhs, env)
-        case Not(arg):
-            return not eval_pred(arg, env)
+    if isinstance(p, Cmp):
+        op = p.op
+        a = eval_expr(p.lhs, env)
+        b = eval_expr(p.rhs, env)
+        if op == "==":
+            return a == b
+        if op == "!=":
+            return a != b
+        if op == "<":
+            return a < b
+        if op == "<=":
+            return a <= b
+        if op == ">":
+            return a > b
+        if op == ">=":
+            return a >= b
+        raise ValueError(f"unknown comparison {op!r}")
+    if isinstance(p, And):
+        return eval_pred(p.lhs, env) and eval_pred(p.rhs, env)
+    if isinstance(p, Or):
+        return eval_pred(p.lhs, env) or eval_pred(p.rhs, env)
+    if isinstance(p, Not):
+        return not eval_pred(p.arg, env)
     raise TypeError(f"not a predicate: {p!r}")
 
 
@@ -249,11 +249,12 @@ def check_refinement(k: Kind, value: int, env: Env) -> bool:
     Each refinement predicate is evaluated with the environment extended
     by the bound variable, so earlier parameters stay in scope. Raises
     KindMismatch when `k` is not integer-valued (float or array). `nat`
-    is int refined by nonnegativity; like a refinement's bound variable,
-    its value must lie in the signed 64-bit range.
+    is int refined by nonnegativity; the value of an `int`, a `nat` or a
+    refinement's bound variable must lie in the signed 64-bit range.
     """
     match k:
         case IntKind():
+            _ranged(value)
             return True
         case NatKind():
             return _ranged(value) >= 0

@@ -28,7 +28,6 @@ from .terms import (
     ATOM_NAMES,
     LABELS,
     Atom,
-    Choice,
     Loop,
     Prefix,
     Protocol,
@@ -47,22 +46,22 @@ def _expr_prec(e: Expr) -> int:
 
 
 def format_expr(e: Expr) -> str:
-    match e:
-        case Lit(value):
-            return str(value)
-        case Var(name):
-            return name
-        case BinOp(op, lhs, rhs):
-            prec = _EXPR_PREC[op]
-            left = format_expr(lhs)
-            if _expr_prec(lhs) < prec:
-                left = f"({left})"
-            right = format_expr(rhs)
-            # Operators are left-associative, so an equal-precedence right
-            # child needs parentheses to reparse into the same shape.
-            if _expr_prec(rhs) <= prec:
-                right = f"({right})"
-            return f"{left}{op}{right}"
+    if isinstance(e, Lit):
+        return str(e.value)
+    if isinstance(e, Var):
+        return e.name
+    if isinstance(e, BinOp):
+        op, lhs, rhs = e.op, e.lhs, e.rhs
+        prec = _EXPR_PREC[op]
+        left = format_expr(lhs)
+        if _expr_prec(lhs) < prec:
+            left = f"({left})"
+        right = format_expr(rhs)
+        # Operators are left-associative, so an equal-precedence right
+        # child needs parentheses to reparse into the same shape.
+        if _expr_prec(rhs) <= prec:
+            right = f"({right})"
+        return f"{left}{op}{right}"
     raise TypeError(f"not an expression: {e!r}")
 
 
@@ -124,18 +123,17 @@ def format_term(t: TypeTerm, indent: int = 0) -> str:
     pad = "  " * indent
     lines: list[str] = []
     for node in spine(t):
-        match node:
-            case Prefix(atom, _):
-                lines.append(f"{pad}{format_atom(atom)}.")
-            case Loop(body, _):
-                lines.append(f"{pad}loop(")
-                lines.append(format_term(body, indent + 1))
-                lines.append(f"{pad}).")
-            case Choice(tb, fb, _):
-                lines.append(f"{pad}choice(")
-                lines.append(format_term(tb, indent + 1) + ",")
-                lines.append(format_term(fb, indent + 1))
-                lines.append(f"{pad}).")
+        if isinstance(node, Prefix):
+            lines.append(f"{pad}{format_atom(node.atom)}.")
+        elif isinstance(node, Loop):
+            lines.append(f"{pad}loop(")
+            lines.append(format_term(node.body, indent + 1))
+            lines.append(f"{pad}).")
+        else:
+            lines.append(f"{pad}choice(")
+            lines.append(format_term(node.true_branch, indent + 1) + ",")
+            lines.append(format_term(node.false_branch, indent + 1))
+            lines.append(f"{pad}).")
     lines.append(f"{pad}end")
     return "\n".join(lines)
 

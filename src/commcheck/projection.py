@@ -9,7 +9,10 @@ come out ground: every peer, root, and length is a literal.
 One walk of the protocol builds the views of all requested ranks at
 once, a list of spine heads per rank: each message's endpoints are
 evaluated once, its length once if a requested rank takes part, and
-each collective is grounded once and shared by every view. An endpoint
+each collective is grounded once and shared by every view. A view
+builds no literal the protocol already has: a literal peer, root or
+length is the protocol's own `Lit` object (frozen, so safe to share),
+still evaluated for its range check. An endpoint
 outside [0, num_procs), possible only in a protocol that is not
 well-formed, adds an atom to no view, and a message from a rank to
 itself is a send only.
@@ -75,28 +78,35 @@ def _project(t: TypeTerm, env: Env, lo: int, hi: int) -> list[TypeTerm]:
     """The views of `t` at ranks `lo` to `hi - 1`, in rank order."""
     kept = [[] for _ in range(lo, hi)]
     for node in spine(t):
-        match node:
-            case Prefix(Message(src, dst, dtype, length) as msg, _):
+        if isinstance(node, Prefix):
+            atom = node.atom
+            if isinstance(atom, Message):
+                src, dst, length = atom.src, atom.dst, atom.length
                 source = eval_expr(src, env)
                 destination = eval_expr(dst, env)
-                count = None
-                if lo <= source < hi:
-                    count = Lit(eval_expr(length, env))
-                    send = Send(Lit(destination), dtype, count, pos=msg.pos)
-                    kept[source - lo].append((Prefix, send))
-                if destination != source and lo <= destination < hi:
-                    count = count or Lit(eval_expr(length, env))
-                    receive = Receive(Lit(source), dtype, count, pos=msg.pos)
+                sends = lo <= source < hi
+                receives = destination != source and lo <= destination < hi
+                if sends or receives:
+                    value = eval_expr(length, env)
+                    count = length if type(length) is Lit else Lit(value)
+                if sends:
+                    peer = dst if type(dst) is Lit else Lit(destination)
+                    kept[source - lo].append((Prefix, Send(peer, atom.dtype, count, pos=atom.pos)))
+                if receives:
+                    peer = src if type(src) is Lit else Lit(source)
+                    receive = Receive(peer, atom.dtype, count, pos=atom.pos)
                     kept[destination - lo].append((Prefix, receive))
-            case Prefix(atom, _):
+            else:
                 head = (Prefix, ground_atom(atom, env))
                 for heads in kept:
                     heads.append(head)
-            case Loop(body, _):
-                for heads, view in zip(kept, _project(body, env, lo, hi)):
-                    heads.append((Loop, view))
-            case Choice(tb, fb, _):
-                branches = zip(_project(tb, env, lo, hi), _project(fb, env, lo, hi))
-                for heads, (tv, fv) in zip(kept, branches):
-                    heads.append((Choice, tv, fv))
+        elif isinstance(node, Loop):
+            for heads, view in zip(kept, _project(node.body, env, lo, hi)):
+                heads.append((Loop, view))
+        else:
+            branches = zip(
+                _project(node.true_branch, env, lo, hi), _project(node.false_branch, env, lo, hi)
+            )
+            for heads, (tv, fv) in zip(kept, branches):
+                heads.append((Choice, tv, fv))
     return [rebuild(heads) for heads in kept]

@@ -188,17 +188,21 @@ class _Automaton:
 
     def _row(self, i: int) -> tuple:
         t = self.terms[i]
-        match t:
-            case Prefix(atom, cont):
-                row = (comm_of(atom), self._intern(cont), None)
-            case Loop(body, cont):
-                row = ("loop", self._intern(concat(body, t)), self._intern(cont))
-            case Choice(tb, fb, cont):
-                row = ("choice", self._intern(concat(tb, cont)), self._intern(concat(fb, cont)))
-            case End():
-                row = (None, None, None)
-            case _:
-                raise TypeError(f"not a type term: {t!r}")
+        if isinstance(t, Prefix):
+            row = (comm_of(t.atom), self._intern(t.cont), None)
+        elif isinstance(t, Loop):
+            row = ("loop", self._intern(concat(t.body, t)), self._intern(t.cont))
+        elif isinstance(t, Choice):
+            cont = t.cont
+            row = (
+                "choice",
+                self._intern(concat(t.true_branch, cont)),
+                self._intern(concat(t.false_branch, cont)),
+            )
+        elif isinstance(t, End):
+            row = (None, None, None)
+        else:
+            raise TypeError(f"not a type term: {t!r}")
         self.rows[i] = row
         return row
 
@@ -389,17 +393,17 @@ def replay(locals_: Sequence[LocalType], trail: Sequence[Step]) -> SimState:
 def format_trail(trail: Sequence[Step]) -> str:
     lines = []
     for s in trail:
-        match s:
-            case P2PStep(sender, receiver, dtype, count):
-                lines.append(f"p2p src={sender} dst={receiver} dtype={dtype.value} len={count}")
-            case Comm("allreduce", _, dtype, count, op):
-                lines.append(f"coll allreduce dtype={dtype.value} len={count} op={op.value}")
-            case Comm(kind, root, dtype, count, _):
-                lines.append(f"coll {kind} root={root} dtype={dtype.value} len={count}")
-            case DecisionStep(kind, enter):
-                lines.append(f"decision {kind} {'enter' if enter else 'skip'}")
-            case _:
-                raise TypeError(f"not a step: {s!r}")
+        if isinstance(s, P2PStep):
+            lines.append(f"p2p src={s.sender} dst={s.receiver} dtype={s.dtype.value} len={s.count}")
+        elif isinstance(s, Comm):
+            if s.kind == "allreduce":
+                lines.append(f"coll allreduce dtype={s.dtype.value} len={s.count} op={s.op.value}")
+            else:
+                lines.append(f"coll {s.kind} root={s.peer} dtype={s.dtype.value} len={s.count}")
+        elif isinstance(s, DecisionStep):
+            lines.append(f"decision {s.kind} {'enter' if s.enter else 'skip'}")
+        else:
+            raise TypeError(f"not a step: {s!r}")
     return "\n".join(lines)
 
 

@@ -11,6 +11,9 @@ along a term's continuation spine is a loop over `spine` and `rebuild`;
 only loop bodies and choice branches, whose depth the parser bounds,
 recurse. A node's hash is computed once, on its first use: parsing and
 projection hash nothing, and the search hashes the views it numbers.
+Walks that run once per node test its class with `isinstance` and read
+fields by name: on CPython 3.11 a `match` class pattern that binds an
+atom's fields costs about ten times as much per node.
 An atom is written as its name in `ATOM_NAMES` followed by its fields
 other than `pos`, in declaration order (`atom_args`); the parser, the
 printer and grounding all work from that one description.
@@ -342,14 +345,13 @@ def atoms_of(t: TypeTerm) -> Iterator[Atom]:
     """All atoms of `t` in traversal order: spine first at each node,
     loop bodies before their continuation, choice branches true-then-false."""
     for node in spine(t):
-        match node:
-            case Prefix(atom, _):
-                yield atom
-            case Loop(body, _):
-                yield from atoms_of(body)
-            case Choice(tb, fb, _):
-                yield from atoms_of(tb)
-                yield from atoms_of(fb)
+        if isinstance(node, Prefix):
+            yield node.atom
+        elif isinstance(node, Loop):
+            yield from atoms_of(node.body)
+        else:
+            yield from atoms_of(node.true_branch)
+            yield from atoms_of(node.false_branch)
 
 
 def concat(t: TypeTerm, rest: TypeTerm) -> TypeTerm:
@@ -363,8 +365,16 @@ def concat(t: TypeTerm, rest: TypeTerm) -> TypeTerm:
 
 
 def ground_atom(a: Atom, env: Env) -> Atom:
-    """Evaluate every expression argument of `a` to a literal."""
-    args = [x if isinstance(x, LABELS) else Lit(eval_expr(x, env)) for x in atom_args(a)]
+    """Evaluate every expression argument of `a` to a literal. A literal
+    argument is still evaluated, for its range check, and then kept:
+    `Lit` is frozen, so the grounded atom may share it."""
+    args = []
+    for x in atom_args(a):
+        if not isinstance(x, LABELS):
+            value = eval_expr(x, env)
+            if type(x) is not Lit:
+                x = Lit(value)
+        args.append(x)
     return type(a)(*args, pos=a.pos)
 
 
@@ -372,13 +382,14 @@ def ground_term(t: TypeTerm, env: Env) -> TypeTerm:
     """Evaluate every expression in `t` to a literal."""
     heads = []
     for node in spine(t):
-        match node:
-            case Prefix(atom, _):
-                heads.append((Prefix, ground_atom(atom, env)))
-            case Loop(body, _):
-                heads.append((Loop, ground_term(body, env)))
-            case Choice(tb, fb, _):
-                heads.append((Choice, ground_term(tb, env), ground_term(fb, env)))
+        if isinstance(node, Prefix):
+            heads.append((Prefix, ground_atom(node.atom, env)))
+        elif isinstance(node, Loop):
+            heads.append((Loop, ground_term(node.body, env)))
+        else:
+            heads.append(
+                (Choice, ground_term(node.true_branch, env), ground_term(node.false_branch, env))
+            )
     return rebuild(heads)
 
 

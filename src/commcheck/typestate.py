@@ -186,32 +186,31 @@ def step(t: LocalType, action: Action, buf: BufferFacts | None = None) -> LocalT
     AtCollectiveBoundary at loop/choice nodes, NotAPrefix at end,
     HeadMismatch or BufferObligation otherwise.
     """
-    match t:
-        case Loop():
-            raise AtCollectiveBoundary("loop", action)
-        case Choice():
-            raise AtCollectiveBoundary("choice", action)
-        case End():
-            raise NotAPrefix(
-                f"the protocol to continue (program performs {describe_action(action)})",
-                "end",
-            )
-        case Prefix(atom, cont):
-            diffs = mismatched_fields(atom, action)
-            if diffs:
-                raise HeadMismatch(atom, action, diffs)
-            if buf is not None:
-                if buf.elem != action.dtype:
-                    raise BufferObligation(
-                        f"buffer holds {buf.elem.value} elements but the action"
-                        f" transfers {action.dtype.value}"
-                    )
-                if buf.capacity < action.count:
-                    raise BufferObligation(
-                        f"buffer capacity {buf.capacity} is smaller than the"
-                        f" transferred count {action.count}"
-                    )
-            return cont
+    if isinstance(t, Prefix):
+        atom = t.atom
+        if comm_of(atom) != action:
+            raise HeadMismatch(atom, action, mismatched_fields(atom, action))
+        if buf is not None:
+            if buf.elem != action.dtype:
+                raise BufferObligation(
+                    f"buffer holds {buf.elem.value} elements but the action"
+                    f" transfers {action.dtype.value}"
+                )
+            if buf.capacity < action.count:
+                raise BufferObligation(
+                    f"buffer capacity {buf.capacity} is smaller than the"
+                    f" transferred count {action.count}"
+                )
+        return t.cont
+    if isinstance(t, Loop):
+        raise AtCollectiveBoundary("loop", action)
+    if isinstance(t, Choice):
+        raise AtCollectiveBoundary("choice", action)
+    if isinstance(t, End):
+        raise NotAPrefix(
+            f"the protocol to continue (program performs {describe_action(action)})",
+            "end",
+        )
     raise TypeError(f"not a type term: {t!r}")
 
 

@@ -22,7 +22,6 @@ from .exprs import (
 from .terms import (
     Allreduce,
     Bcast,
-    Choice,
     Gather,
     Loop,
     Message,
@@ -135,51 +134,49 @@ def check_wf(protocol: Protocol, inst: Env) -> WfReport:
 
 def _walk(t: TypeTerm, base: str, env: Env, num_procs: int, report: WfReport) -> None:
     for index, node in enumerate(spine(t)):
-        match node:
-            case Prefix(atom, _):
-                _check_atom(atom, f"{base}[{index}]", env, num_procs, report)
-            case Loop(body, _):
-                _walk(body, f"{base}[{index}].loop", env, num_procs, report)
-            case Choice(tb, fb, _):
-                _walk(tb, f"{base}[{index}].true", env, num_procs, report)
-                _walk(fb, f"{base}[{index}].false", env, num_procs, report)
+        if isinstance(node, Prefix):
+            _check_atom(node.atom, base, index, env, num_procs, report)
+        elif isinstance(node, Loop):
+            _walk(node.body, f"{base}[{index}].loop", env, num_procs, report)
+        else:
+            _walk(node.true_branch, f"{base}[{index}].true", env, num_procs, report)
+            _walk(node.false_branch, f"{base}[{index}].false", env, num_procs, report)
 
 
-def _check_atom(atom, path: str, env: Env, num_procs: int, report: WfReport) -> None:
-    def bad(code: str, message: str) -> None:
-        report.diagnostics.append(WfDiagnostic(path, code, message, atom.pos))
+def _check_atom(atom, base: str, index: int, env: Env, num_procs: int, report: WfReport) -> None:
+    """Check the atom at `base[index]`. Most atoms pass, so its problems
+    are collected as (code, message) pairs and its path is written only
+    when there are some."""
+    found: list[tuple[str, str]] = []
+    if isinstance(atom, Message):
+        s = _rank_of(atom.src, "source rank", env, num_procs, found)
+        d = _rank_of(atom.dst, "destination rank", env, num_procs, found)
+        if s is not None and s == d:
+            found.append(("self-message", f"source and destination are both rank {s}"))
+    elif isinstance(atom, (Scatter, Gather, Bcast)):
+        _rank_of(atom.root, "root rank", env, num_procs, found)
+    elif not isinstance(atom, Allreduce):
+        raise TypeError(f"not a global atom: {atom!r}")
+    try:
+        length = eval_expr(atom.length, env)
+    except ExprError as err:
+        found.append(("eval-error", f"length: {err}"))
+    else:
+        if length < 0:
+            found.append(("negative-length", f"length {length} is negative"))
+    if found:
+        path = f"{base}[{index}]"
+        report.diagnostics.extend(WfDiagnostic(path, code, msg, atom.pos) for code, msg in found)
 
-    def rank_of(e, role: str) -> int | None:
-        try:
-            v = eval_expr(e, env)
-        except ExprError as err:
-            bad("eval-error", f"{role}: {err}")
-            return None
-        if not (0 <= v < num_procs):
-            bad("rank-out-of-range", f"{role} {v} outside [0, {num_procs})")
-            return None
-        return v
 
-    def length_of(e) -> None:
-        try:
-            v = eval_expr(e, env)
-        except ExprError as err:
-            bad("eval-error", f"length: {err}")
-            return
-        if v < 0:
-            bad("negative-length", f"length {v} is negative")
-
-    match atom:
-        case Message(src, dst, _, length):
-            s = rank_of(src, "source rank")
-            d = rank_of(dst, "destination rank")
-            if s is not None and d is not None and s == d:
-                bad("self-message", f"source and destination are both rank {s}")
-            length_of(length)
-        case Scatter(root, _, length) | Gather(root, _, length) | Bcast(root, _, length):
-            rank_of(root, "root rank")
-            length_of(length)
-        case Allreduce(_, length, _):
-            length_of(length)
-        case _:
-            raise TypeError(f"not a global atom: {atom!r}")
+def _rank_of(e, role: str, env: Env, num_procs: int, found: list) -> int | None:
+    """The rank `e` names, or None after adding its problem to `found`."""
+    try:
+        v = eval_expr(e, env)
+    except ExprError as err:
+        found.append(("eval-error", f"{role}: {err}"))
+        return None
+    if not (0 <= v < num_procs):
+        found.append(("rank-out-of-range", f"{role} {v} outside [0, {num_procs})"))
+        return None
+    return v

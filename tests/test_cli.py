@@ -103,6 +103,30 @@ def test_param_value_reads_as_an_integer_literal(ring, capsys):
     assert out.splitlines()[0] == "-:5.4:refinement-violated:value -3 does not satisfy the kind of 'size'"
 
 
+@pytest.mark.parametrize("kind", ["int", "nat", "{x:int|x>0}"])
+@pytest.mark.parametrize("command", ["validate", "simulate"])
+@pytest.mark.parametrize(
+    "value", ["99999999999999999999", "9223372036854775808", "-9223372036854775809"]
+)
+def test_a_param_outside_the_64_bit_range_is_an_eval_error(tmp_path, capsys, kind, command, value):
+    cty = tmp_path / "k.cty"
+    cty.write_text(f"Pi n: {kind}.\nnprocs 2.\nend\n")
+    code, out, err = run(capsys, command, str(cty), "--param", f"n={value}")
+    assert (code, out) == (EXIT_FAIL, "")
+    assert err == (
+        f"{cty}:1:4: [eval-error] value {value} exceeds the signed 64-bit range (at param n)\n"
+    )
+
+
+@pytest.mark.parametrize("kind", ["int", "{x:int|x>0}"])
+@pytest.mark.parametrize("value", ["9223372036854775807", "1"])
+def test_a_param_at_the_64_bit_bound_is_accepted(tmp_path, capsys, kind, value):
+    cty = tmp_path / "k.cty"
+    cty.write_text(f"Pi n: {kind}.\nnprocs 2.\nend\n")
+    code, out, _ = run(capsys, "validate", str(cty), "--param", f"n={value}")
+    assert (code, out) == (EXIT_OK, f"{cty}: well-formed for 2 processes\n")
+
+
 @pytest.mark.parametrize("value, code", [("09", EXIT_OK), ("0x9", EXIT_USAGE), ("9_0", EXIT_USAGE)])
 def test_manifest_value_must_be_ascii_decimal_digits(ring, tmp_path, capsys, value, code):
     manifest = tmp_path / "params.txt"

@@ -171,6 +171,23 @@ def test_project_all_evaluates_each_message_once(monkeypatch):
     assert len(calls) == 3_000
 
 
+def test_views_share_the_protocols_literals():
+    # A literal peer, root or length is the protocol's own `Lit`, not a
+    # new one with the same value, under one walk and per rank alike.
+    proto = parse_protocol("nprocs 2.\nmessage(0,1,MPI_INT,5).bcast(1,MPI_INT,3).end")
+    msg, bcast = proto.body.atom, proto.body.cont.atom
+    views = project_all(proto, {})
+    for view0, view1 in ((views[0], views[1]), (project(proto, {}, 0), project(proto, {}, 1))):
+        send, receive = view0.atom, view1.atom
+        assert send.peer is msg.dst
+        assert send.length is msg.length
+        assert receive.peer is msg.src
+        assert receive.length is msg.length
+        for view in (view0, view1):
+            assert view.cont.atom.root is bcast.root
+            assert view.cont.atom.length is bcast.length
+
+
 @pytest.mark.parametrize(
     "body, views",
     [

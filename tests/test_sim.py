@@ -89,8 +89,19 @@ def test_self_send_never_fires():
 
 
 def test_send_to_out_of_range_rank_never_fires():
-    verdict = simulate(ensemble("send(7,MPI_INT,1).end", "end"), [])
-    assert isinstance(verdict, Deadlock)
+    # Rank 1 waits for exactly what rank 0 sends, but rank 0 names a
+    # peer outside the two ranks: -1 would index the last rank if only
+    # the upper bound were checked, 2 is one past it.
+    for peer in (-1, 2, 7):
+        views = ensemble(f"send({peer},MPI_INT,1).end", "receive(0,MPI_INT,1).end")
+        blocked = (
+            f"blocked sending to rank {peer} (MPI_INT, len 1)",
+            "blocked receiving from rank 0 (MPI_INT, len 1)",
+        )
+        for verdict in (simulate(views, []), explore_all_tapes(views, 2)):
+            assert isinstance(verdict, Deadlock)
+            assert verdict.blocked == blocked
+            assert verdict.trail == ()
 
 
 def test_one_sided_completion_is_a_deadlock_not_done():
