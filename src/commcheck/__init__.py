@@ -57,7 +57,6 @@ from .terms import (
     is_ground,
 )
 from .typestate import (
-    Action,
     AtCollectiveBoundary,
     BufferFacts,
     HeadMismatch,
@@ -76,7 +75,6 @@ from .wf import WfDiagnostic, WfReport, check_wf
 __version__ = "0.1.0"
 
 __all__ = [
-    "Action",
     "AllDone",
     "AtCollectiveBoundary",
     "BufferFacts",

@@ -3,12 +3,15 @@
 Checking walks the program once per rank with `me` bound to that rank,
 evaluating every guard and expression concretely, and steps the rank's
 projected local type through each communication statement, read as the
-`Comm` it performs (its length evaluated first). The walk for
-a rank stops at its first defect; defects are reported as positioned
-diagnostics, never exceptions. Erasure walks the same way but instead
-of checking it records the sequence of communication actions a rank
-performs under a given run of collective decisions, whether or not the
-program is compliant.
+`Comm` it performs (its length evaluated first). The walk for a rank
+stops at its first defect: the statement that finds it raises one
+internal exception, and `_walk` gives an expression or stepping error
+the position of the innermost statement it arose in. Each rank's walk
+catches it once, so a defect reaches the caller as a positioned
+diagnostic, never as an exception. Erasure walks the same way but
+instead of checking it records the communications a rank performs
+under a given run of collective decisions, whether or not the program
+is compliant.
 """
 
 from __future__ import annotations
@@ -35,16 +38,7 @@ from .program import (
 from .projection import project
 from .sim import _tape_entry
 from .terms import Choice, Comm, DataKind, End, Loop, Protocol
-from .typestate import (
-    Action,
-    BufferFacts,
-    FinalizeAction,
-    ResidualNotEnd,
-    StepError,
-    check_finalized,
-    describe_node,
-    step,
-)
+from .typestate import BufferFacts, StepError, check_finalized, describe_node, step
 from .wf import WfReport, check_wf
 
 
@@ -85,21 +79,9 @@ class CheckReport:
         return [d.render(filename) for d in self.all_diagnostics()]
 
 
-class _RankStop(Exception):
-    """Internal: abandon the current rank after its first diagnostic."""
-
-
-@dataclass
-class _RankState:
-    rank: int
-    env: Env
-    buffers: dict[str, BufferFacts]
-    diagnostics: list[CheckDiagnostic]
-    decisions: list[tuple[str, int]]  # collective construct arrivals, in order
-
-    def fail(self, code: str, message: str, pos: Pos | None) -> None:
-        self.diagnostics.append(CheckDiagnostic(self.rank, code, message, pos))
-        raise _RankStop
+class _Defect(Exception):
+    """Internal: the defect that stops a rank's walk. Its args are the
+    diagnostic's code, message and position."""
 
 
 class IllFormedProtocol(ValueError):
@@ -133,9 +115,10 @@ def check_compliance(prog: Program, protocol: Protocol, inst: Env) -> CheckRepor
     missing = [name for name in prog.params if name not in inst]
     for rank in range(protocol.num_procs):
         env = {"me": rank, "np": protocol.num_procs}
-        state = _RankState(rank, env, {}, [], [])
+        diagnostics: list[CheckDiagnostic] = []
+        decisions: list[tuple[str, int]] = []  # collective construct arrivals, in order
         if missing:
-            state.diagnostics.append(
+            diagnostics.append(
                 CheckDiagnostic(
                     rank,
                     "unbound-parameter",
@@ -148,11 +131,11 @@ def check_compliance(prog: Program, protocol: Protocol, inst: Env) -> CheckRepor
             try:
                 # The walk ends at the finalize statement, which checks
                 # the residual.
-                _walk(prog.body, local, state)
-            except _RankStop:
-                pass
-        reports.append(RankReport(rank, state.diagnostics))
-        traces.append(tuple(state.decisions))
+                _walk(prog.body, local, env, {}, decisions)
+            except _Defect as defect:
+                diagnostics.append(CheckDiagnostic(rank, *defect.args))
+        reports.append(RankReport(rank, diagnostics))
+        traces.append(tuple(decisions))
 
     # Ranks must agree on which collective constructs they enter and in
     # which order; projection preserves loop/choice structure at every
@@ -176,18 +159,18 @@ def check_compliance(prog: Program, protocol: Protocol, inst: Env) -> CheckRepor
     return CheckReport(reports)
 
 
-def _walk(stmts: tuple[Stmt, ...], t, state: _RankState):
+def _walk(stmts: tuple[Stmt, ...], t, env: Env, buffers: dict[str, BufferFacts], decisions: list):
+    """The residue after `stmts`. An expression or stepping error becomes
+    the defect of the statement it arose in; a nested walk has already
+    turned one of its own statements' errors into a `_Defect`."""
     for stmt in stmts:
-        t = _walk_stmt(stmt, t, state)
+        try:
+            t = _walk_stmt(stmt, t, env, buffers, decisions)
+        except ExprError as err:
+            raise _Defect("eval-error", str(err), stmt.pos) from None
+        except StepError as err:
+            raise _Defect(err.code, str(err), stmt.pos) from None
     return t
-
-
-def _eval(e, state: _RankState, pos: Pos | None) -> int:
-    try:
-        return eval_expr(e, state.env)
-    except ExprError as err:
-        state.fail("eval-error", str(err), pos)
-        raise AssertionError  # unreachable
 
 
 def _stmt_comm(stmt: CommStmt, elem: DataKind, env: Env) -> Comm:
@@ -198,50 +181,40 @@ def _stmt_comm(stmt: CommStmt, elem: DataKind, env: Env) -> Comm:
     return Comm(stmt.kind, who, elem, count, stmt.op)
 
 
-def _walk_stmt(stmt: Stmt, t, state: _RankState):
+def _walk_stmt(stmt: Stmt, t, env: Env, buffers: dict[str, BufferFacts], decisions: list):
     if isinstance(stmt, CommStmt):
-        buf = state.buffers.get(stmt.buf)
+        buf = buffers.get(stmt.buf)
         if buf is None:
-            state.fail("unknown-buffer", f"no buffer named '{stmt.buf}'", stmt.pos)
-        try:
-            action = _stmt_comm(stmt, buf.elem, state.env)
-        except ExprError as err:
-            state.fail("eval-error", str(err), stmt.pos)
-        try:
-            return step(t, action, buf)
-        except StepError as err:
-            state.fail(err.code, str(err), stmt.pos)
+            raise _Defect("unknown-buffer", f"no buffer named '{stmt.buf}'", stmt.pos)
+        return step(t, _stmt_comm(stmt, buf.elem, env), buf)
     if isinstance(stmt, RankIf):
-        try:
-            taken = eval_pred(stmt.guard, state.env)
-        except ExprError as err:
-            state.fail("eval-error", str(err), stmt.pos)
-        return _walk(stmt.then_body if taken else stmt.else_body, t, state)
+        body = stmt.then_body if eval_pred(stmt.guard, env) else stmt.else_body
+        return _walk(body, t, env, buffers, decisions)
     if isinstance(stmt, Let):
-        state.env[stmt.name] = _eval(stmt.value, state, stmt.pos)
+        env[stmt.name] = eval_expr(stmt.value, env)
         return t
     if isinstance(stmt, BufferDecl):
-        size = _eval(stmt.capacity, state, stmt.pos)
+        size = eval_expr(stmt.capacity, env)
         if size < 0:
-            state.fail(
+            raise _Defect(
                 "negative-capacity", f"buffer '{stmt.name}' has capacity {size}", stmt.pos
             )
-        state.buffers[stmt.name] = BufferFacts(stmt.elem, size)
+        buffers[stmt.name] = BufferFacts(stmt.elem, size)
         return t
     if isinstance(stmt, (Init, CommSize, CommRank, Compute)):
         return t
     if isinstance(stmt, CollLoop):
-        state.decisions.append(("loop", id(stmt)))
+        decisions.append(("loop", id(stmt)))
         if not isinstance(t, Loop):
-            state.fail(
+            raise _Defect(
                 "expected-loop",
                 f"program enters a collective loop but the protocol is at"
                 f" {describe_node(t)}",
                 stmt.pos,
             )
-        residual = _walk(stmt.body, t.body, state)
+        residual = _walk(stmt.body, t.body, env, buffers, decisions)
         if not isinstance(residual, End):
-            state.fail(
+            raise _Defect(
                 "residual-not-end",
                 f"collective loop body leaves the protocol at"
                 f" {describe_node(residual)}, not end",
@@ -249,9 +222,9 @@ def _walk_stmt(stmt: Stmt, t, state: _RankState):
             )
         return t.cont
     if isinstance(stmt, CollChoice):
-        state.decisions.append(("choice", id(stmt)))
+        decisions.append(("choice", id(stmt)))
         if not isinstance(t, Choice):
-            state.fail(
+            raise _Defect(
                 "expected-choice",
                 f"program enters a collective choice but the protocol is at"
                 f" {describe_node(t)}",
@@ -261,9 +234,9 @@ def _walk_stmt(stmt: Stmt, t, state: _RankState):
             (stmt.then_body, t.true_branch, "true"),
             (stmt.else_body, t.false_branch, "false"),
         ):
-            residual = _walk(branch_body, branch_type, state)
+            residual = _walk(branch_body, branch_type, env, buffers, decisions)
             if not isinstance(residual, End):
-                state.fail(
+                raise _Defect(
                     "residual-not-end",
                     f"collective choice {name} branch leaves the protocol at"
                     f" {describe_node(residual)}, not end",
@@ -271,10 +244,7 @@ def _walk_stmt(stmt: Stmt, t, state: _RankState):
                 )
         return t.cont
     if isinstance(stmt, Finalize):
-        try:
-            check_finalized(t)
-        except ResidualNotEnd as err:
-            state.fail(err.code, str(err), stmt.pos)
+        check_finalized(t)
         return t
     raise TypeError(f"not a statement: {stmt!r}")
 
@@ -284,8 +254,9 @@ def _walk_stmt(stmt: Stmt, t, state: _RankState):
 # ---------------------------------------------------------------------------
 
 
-def erase_to_trace(prog: Program, rank: int, env: Env, tape: Sequence[bool]) -> list[Action]:
-    """The communication actions `rank` performs, in order.
+def erase_to_trace(prog: Program, rank: int, env: Env, tape: Sequence[bool]) -> list[Comm]:
+    """The communications `rank` performs, in order; an erased trace
+    holds nothing else, since `finalize` communicates nothing.
 
     `env` must bind the program's parameters and `np`; `me` is bound to
     `rank` here. `tape` supplies one boolean per collective-loop
@@ -296,13 +267,13 @@ def erase_to_trace(prog: Program, rank: int, env: Env, tape: Sequence[bool]) -> 
     """
     scope: Env = {**env, "me": rank}
     buffers: dict[str, DataKind] = {}
-    out: list[Action] = []
+    out: list[Comm] = []
     _erase(prog.body, scope, buffers, tape, 0, out)
     return out
 
 
-def _erase(stmts, scope: Env, buffers, tape: Sequence[bool], taken: int, out: list[Action]) -> int:
-    """Append the actions of `stmts` to `out`, starting at decision
+def _erase(stmts, scope: Env, buffers, tape: Sequence[bool], taken: int, out: list[Comm]) -> int:
+    """Append the communications of `stmts` to `out`, starting at decision
     `taken` of `tape`; the number of decisions taken after them."""
     for stmt in stmts:
         if isinstance(stmt, CommStmt):
@@ -314,7 +285,7 @@ def _erase(stmts, scope: Env, buffers, tape: Sequence[bool], taken: int, out: li
             scope[stmt.name] = eval_expr(stmt.value, scope)
         elif isinstance(stmt, BufferDecl):
             buffers[stmt.name] = stmt.elem
-        elif isinstance(stmt, (Init, CommSize, CommRank, Compute)):
+        elif isinstance(stmt, (Init, CommSize, CommRank, Compute, Finalize)):
             pass
         elif isinstance(stmt, CollLoop):
             while _tape_entry(tape, taken):
@@ -323,8 +294,6 @@ def _erase(stmts, scope: Env, buffers, tape: Sequence[bool], taken: int, out: li
         elif isinstance(stmt, CollChoice):
             body = stmt.then_body if _tape_entry(tape, taken) else stmt.else_body
             taken = _erase(body, scope, buffers, tape, taken + 1, out)
-        elif isinstance(stmt, Finalize):
-            out.append(FinalizeAction())
         else:
             raise TypeError(f"not a statement: {stmt!r}")
     return taken

@@ -95,9 +95,10 @@ def _parse_params(pairs: list[str], manifest: str | None) -> Env:
     return inst
 
 
-# A parameter value: ASCII decimal digits with an optional sign, read
-# as the protocol's integer literals are (`09` is 9). `0x9`, `9_0`,
-# Unicode digits and surrounding spaces are refused.
+# An integer on the command line, a parameter value or a flag's N:
+# ASCII decimal digits with an optional sign, read as the protocol's
+# integer literals are (`09` is 9). `0x9`, `9_0`, Unicode digits and
+# surrounding spaces are refused.
 _INT_VALUE = re.compile(r"[+-]?[0-9]+")
 
 
@@ -270,11 +271,10 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
 
 
 def _int_at_least(low: int, text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
+    if _INT_VALUE.fullmatch(text) is None:
         # the message argparse gives for `type=int`
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    value = int(text)
     if value < low:
         raise argparse.ArgumentTypeError(f"N must be >= {low}, got {value}")
     return value

@@ -250,14 +250,17 @@ def check_refinement(k: Kind, value: int, env: Env) -> bool:
     by the bound variable, so earlier parameters stay in scope. Raises
     KindMismatch when `k` is not integer-valued (float or array). `nat`
     is int refined by nonnegativity; the value of an `int`, a `nat` or a
-    refinement's bound variable must lie in the signed 64-bit range.
+    refinement's bound variable must be an `int`, so neither a `bool`
+    nor a float, and lie in the signed 64-bit range.
     """
     match k:
         case IntKind():
+            if type(value) is not int:
+                return False
             _ranged(value)
             return True
         case NatKind():
-            return _ranged(value) >= 0
+            return type(value) is int and _ranged(value) >= 0
         case RefinedKind(base, r):
             if not check_refinement(base, value, env):
                 return False

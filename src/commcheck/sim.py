@@ -50,8 +50,8 @@ from .terms import (
     atom_of,
     comm_of,
     concat,
+    rebuild,
 )
-from .typestate import Action, FinalizeAction
 
 DEFAULT_STATE_LIMIT = 1_000_000
 
@@ -447,17 +447,8 @@ def parse_trail(text: str) -> tuple[Step, ...]:
 # ---------------------------------------------------------------------------
 
 
-def trace_to_term(actions: Sequence[Action]) -> LocalType:
-    """A straight-line local type performing `actions` in order.
-
-    A FinalizeAction may appear only as the last action and marks the
-    end; a trace without one also just ends.
-    """
-    term: LocalType = End()
-    for i, a in enumerate(reversed(actions)):
-        if isinstance(a, FinalizeAction):
-            if i != 0:
-                raise ValueError("finalize must be the last action of a trace")
-            continue
-        term = Prefix(atom_of(a), term)
-    return term
+def trace_to_term(actions: Sequence[Comm]) -> LocalType:
+    """A straight-line local type performing `actions` in order, then
+    `end`. An erased trace (`checker.erase_to_trace`) holds only
+    communications, so it converts as it is."""
+    return rebuild([(Prefix, atom_of(a)) for a in actions])

@@ -4,17 +4,15 @@ A rank's verification state is the residue of its local type. Each
 communication action a program performs is a `Comm`, the one ground
 record of a communication, and must equal `comm_of` of the residue's
 head prefix field by field; the residue then advances to the
-continuation. `FinalizeAction` is the one action that communicates
-nothing. Loop and choice nodes are collective boundaries: an ordinary
-action arriving there is a structure error, distinct from a mismatched
-head. Every error carries a stable machine-readable `code` naming the
-class of defect, with the offending field first.
+continuation. Loop and choice nodes are collective boundaries: an
+ordinary action arriving there is a structure error, distinct from a
+mismatched head. Every error carries a stable machine-readable `code`
+naming the class of defect, with the offending field first.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
 
 from .terms import (
     Choice,
@@ -31,19 +29,6 @@ from .terms import (
 from .printer import format_atom
 
 
-# ---------------------------------------------------------------------------
-# actions: what a program step actually does, all fields concrete
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FinalizeAction:
-    pass
-
-
-Action = Union[Comm, FinalizeAction]
-
-
 @dataclass(frozen=True)
 class BufferFacts:
     """What the checker knows about the buffer an action reads or writes."""
@@ -52,9 +37,7 @@ class BufferFacts:
     capacity: int
 
 
-def describe_action(a: Action) -> str:
-    if isinstance(a, FinalizeAction):
-        return "finalize"
+def describe_action(a: Comm) -> str:
     return format_atom(atom_of(a))
 
 
@@ -93,7 +76,7 @@ class HeadMismatch(StepError):
     """Action and head prefix disagree in `fields`, most significant
     first; the first one names the code."""
 
-    def __init__(self, atom: LocalAtom, action: Action, fields: tuple[str, ...]):
+    def __init__(self, atom: LocalAtom, action: Comm, fields: tuple[str, ...]):
         super().__init__(
             f"action {describe_action(action)} does not match the expected"
             f" {format_atom(atom)} (differs in {', '.join(fields)})"
@@ -105,7 +88,7 @@ class AtCollectiveBoundary(StepError):
     """An ordinary action arrived where the type demands a collective
     loop or choice construct."""
 
-    def __init__(self, kind: str, action: Action):
+    def __init__(self, kind: str, action: Comm):
         super().__init__(
             f"the local type is at a collective {kind}, but the program"
             f" performs {describe_action(action)} without entering one"
@@ -167,17 +150,17 @@ def choice_branches(t: LocalType) -> tuple[LocalType, LocalType]:
 # ---------------------------------------------------------------------------
 
 
-def mismatched_fields(atom: LocalAtom, action: Action) -> tuple[str, ...]:
+def mismatched_fields(atom: LocalAtom, action: Comm) -> tuple[str, ...]:
     """Names of the fields where `action` disagrees with `atom`, most
     significant first; empty when they match."""
     head = comm_of(atom)
-    if not isinstance(action, Comm) or head.kind != action.kind:
+    if head.kind != action.kind:
         return ("kind",)
     labels = ("peer" if head.kind in ("send", "receive") else "root", "dtype", "len", "op")
     return tuple(label for label, x, y in zip(labels, head[1:], action[1:]) if x != y)
 
 
-def step(t: LocalType, action: Action, buf: BufferFacts | None = None) -> LocalType:
+def step(t: LocalType, action: Comm, buf: BufferFacts | None = None) -> LocalType:
     """Advance the residue `t` by one communication action.
 
     The head prefix must match `action` on every field, and when buffer

@@ -16,6 +16,7 @@ from commcheck.terms import (
     Allreduce,
     Bcast,
     Choice,
+    Comm,
     DataKind,
     End,
     Gather,
@@ -34,7 +35,6 @@ from commcheck.terms import (
     rebuild,
     spine,
 )
-from commcheck.typestate import Action
 
 _DTYPES = (DataKind.INT, DataKind.FLOAT)
 _OPS = (ReduceOp.MAX, ReduceOp.MIN, ReduceOp.SUM)
@@ -182,7 +182,7 @@ def random_local_term(
     return seq(0)
 
 
-def random_action(rng: random.Random, num_procs: int = 4) -> Action:
+def random_action(rng: random.Random, num_procs: int = 4) -> Comm:
     return comm_of(random_local_atom(rng, num_procs))
 
 

@@ -9,7 +9,6 @@ from commcheck.parser import parse_protocol
 from commcheck.program import parse_program
 from commcheck.sim import TapeExhausted, loop_tape
 from commcheck.terms import Comm, DataKind, ReduceOp
-from commcheck.typestate import FinalizeAction
 from commcheck.wf import check_wf
 
 
@@ -211,6 +210,126 @@ def test_report_render_lines(fdiff_protocol_text):
     assert all(line.startswith("prog.mmp:") and "[residual-not-end]" in line for line in lines)
 
 
+# -- where each diagnostic points -----------------------------------------------
+
+# `rankif` inside `collloop` inside `collchoice`, then one top-level
+# message before `finalize`. Line numbers are those of NESTED_PROGRAM.
+NESTED_PROTOCOL = """nprocs 2.
+choice(
+  loop(message(0,1,MPI_INT,1).end).
+  end,
+  message(1,0,MPI_INT,1).end).
+message(0,1,MPI_INT,1).
+end
+"""
+NESTED_PROGRAM = """buffer b int[1]
+init
+collchoice {
+  collloop {
+    rankif (me == 0) {
+      send peer=1 buf=b len=1
+    } else {
+      recv peer=0 buf=b len=1
+    }
+  }
+} else {
+  rankif (me == 1) { send peer=0 buf=b len=1 } else { recv peer=1 buf=b len=1 }
+}
+rankif (me == 0) { send peer=1 buf=b len=1 } else { recv peer=0 buf=b len=1 }
+finalize
+"""
+LOOP_SEND = "send peer=1 buf=b len=1\n    }"
+FALSE_BRANCH = "  rankif (me == 1) { send peer=0 buf=b len=1 } else { recv peer=1 buf=b len=1 }"
+P2P = "rankif (me == 0) { send peer=1 buf=b len=1 } else { recv peer=0 buf=b len=1 }"
+
+
+@pytest.mark.parametrize(
+    "old, new, lines",
+    [
+        pytest.param("rankif (me == 0) {", "rankif (me / 0 == 0) {", [
+            "prog.mmp:5:5: rank 0: [eval-error] division by zero in 0/0",
+            "prog.mmp:5:5: rank 1: [eval-error] division by zero in 1/0",
+        ], id="eval-error-in-guard"),
+        pytest.param(LOOP_SEND, "send peer=1/0 buf=b len=1\n    }", [
+            "prog.mmp:6:7: rank 0: [eval-error] division by zero in 1/0",
+        ], id="eval-error-in-body"),
+        pytest.param(LOOP_SEND, "send peer=1 buf=c len=1\n    }", [
+            "prog.mmp:6:7: rank 0: [unknown-buffer] no buffer named 'c'",
+        ], id="unknown-buffer"),
+        pytest.param("int[1]", "int[0-1]", [
+            "prog.mmp:1:1: rank 0: [negative-capacity] buffer 'b' has capacity -1",
+            "prog.mmp:1:1: rank 1: [negative-capacity] buffer 'b' has capacity -1",
+        ], id="negative-capacity"),
+        pytest.param(FALSE_BRANCH, "  collloop { }", [
+            "prog.mmp:12:3: rank 0: [expected-loop] program enters a collective loop but"
+            " the protocol is at receive(1,MPI_INT,1)",
+            "prog.mmp:12:3: rank 1: [expected-loop] program enters a collective loop but"
+            " the protocol is at send(0,MPI_INT,1)",
+        ], id="expected-loop"),
+        pytest.param(FALSE_BRANCH, "  collchoice { } else { }", [
+            "prog.mmp:12:3: rank 0: [expected-choice] program enters a collective choice but"
+            " the protocol is at receive(1,MPI_INT,1)",
+            "prog.mmp:12:3: rank 1: [expected-choice] program enters a collective choice but"
+            " the protocol is at send(0,MPI_INT,1)",
+        ], id="expected-choice"),
+        pytest.param(LOOP_SEND, "compute\n    }", [
+            "prog.mmp:4:3: rank 0: [residual-not-end] collective loop body leaves the protocol"
+            " at send(1,MPI_INT,1), not end",
+        ], id="residual-not-end-loop"),
+        pytest.param(FALSE_BRANCH, "  compute", [
+            "prog.mmp:3:1: rank 0: [residual-not-end] collective choice false branch leaves"
+            " the protocol at receive(1,MPI_INT,1), not end",
+            "prog.mmp:3:1: rank 1: [residual-not-end] collective choice false branch leaves"
+            " the protocol at send(0,MPI_INT,1), not end",
+        ], id="residual-not-end-choice"),
+        pytest.param(P2P + "\nfinalize", "finalize", [
+            "prog.mmp:14:1: rank 0: [residual-not-end] obligations remain at finalize: the"
+            " residual local type is send(1,MPI_INT,1), not end",
+            "prog.mmp:14:1: rank 1: [residual-not-end] obligations remain at finalize: the"
+            " residual local type is receive(0,MPI_INT,1), not end",
+        ], id="residual-not-end-finalize"),
+        pytest.param(LOOP_SEND, "send peer=1 buf=b len=2\n    }", [
+            "prog.mmp:6:7: rank 0: [head-mismatch:len] action send(1,MPI_INT,2) does not"
+            " match the expected send(1,MPI_INT,1) (differs in len)",
+        ], id="head-mismatch"),
+        pytest.param("int[1]", "int[0]", [
+            "prog.mmp:6:7: rank 0: [buffer-obligation] buffer capacity 0 is smaller than the"
+            " transferred count 1",
+            "prog.mmp:8:7: rank 1: [buffer-obligation] buffer capacity 0 is smaller than the"
+            " transferred count 1",
+        ], id="buffer-obligation"),
+        pytest.param(LOOP_SEND, "send peer=1 buf=b len=1\n      send peer=1 buf=b len=1\n    }", [
+            "prog.mmp:7:7: rank 0: [not-a-prefix] expected the protocol to continue (program"
+            " performs send(1,MPI_INT,1)), but the local type is end",
+        ], id="not-a-prefix"),
+        pytest.param("init\n", "init\n" + P2P + "\n", [
+            "prog.mmp:3:20: rank 0: [at-collective-boundary:choice] the local type is at a"
+            " collective choice, but the program performs send(1,MPI_INT,1) without entering one",
+            "prog.mmp:3:53: rank 1: [at-collective-boundary:choice] the local type is at a"
+            " collective choice, but the program performs receive(0,MPI_INT,1) without"
+            " entering one",
+        ], id="at-collective-boundary-choice"),
+        pytest.param("collchoice {\n", "collchoice {\n  " + P2P + "\n", [
+            "prog.mmp:4:22: rank 0: [at-collective-boundary:loop] the local type is at a"
+            " collective loop, but the program performs send(1,MPI_INT,1) without entering one",
+            "prog.mmp:4:55: rank 1: [at-collective-boundary:loop] the local type is at a"
+            " collective loop, but the program performs receive(0,MPI_INT,1) without"
+            " entering one",
+        ], id="at-collective-boundary-loop"),
+    ],
+)
+def test_each_diagnostic_points_at_its_statement(old, new, lines):
+    assert old in NESTED_PROGRAM
+    text = NESTED_PROGRAM.replace(old, new, 1)
+    report = check_compliance(parse_program(text), parse_protocol(NESTED_PROTOCOL), {})
+    assert report.render_lines("prog.mmp") == lines
+
+
+def test_the_nested_program_complies():
+    report = check_compliance(parse_program(NESTED_PROGRAM), parse_protocol(NESTED_PROTOCOL), {})
+    assert report.compliant
+
+
 # -- erasure -------------------------------------------------------------------
 
 
@@ -227,7 +346,6 @@ def test_erasure_of_ring_rank0(fdiff_program_text):
         Comm("send", 1, DataKind.FLOAT, 1),
         Comm("allreduce", None, DataKind.FLOAT, 1, ReduceOp.MAX),
         Comm("gather", 0, DataKind.FLOAT, 3),
-        FinalizeAction(),
     ]
 
 
@@ -235,11 +353,9 @@ def test_erasure_zero_iterations(fdiff_program_text):
     prog = parse_program(fdiff_program_text)
     env = {"size": 9, "np": 3}
     actions = erase_to_trace(prog, 1, env, (False, True))
-    assert [a.kind for a in actions[:-1]] == ["scatter", "gather"]
-    assert actions[-1] == FinalizeAction()
+    assert [a.kind for a in actions] == ["scatter", "gather"]
     actions = erase_to_trace(prog, 1, env, (False, False))
-    assert [a.kind for a in actions[:-1]] == ["scatter"]
-    assert actions[-1] == FinalizeAction()
+    assert [a.kind for a in actions] == ["scatter"]
 
 
 def test_erasure_loop_iterations_scale(fdiff_program_text):
@@ -247,7 +363,7 @@ def test_erasure_loop_iterations_scale(fdiff_program_text):
     env = {"size": 9, "np": 3}
     for k in (0, 1, 2, 5):
         actions = erase_to_trace(prog, 2, env, loop_tape(k, False))
-        sends = [a for a in actions if isinstance(a, Comm) and a.kind == "send"]
+        sends = [a for a in actions if a.kind == "send"]
         assert len(sends) == 2 * k
 
 
@@ -257,12 +373,12 @@ def test_erasure_is_protocol_independent():
         "buffer b int[1]\ninit\nsend peer=0 buf=b len=1\nfinalize\n"
     )
     actions = erase_to_trace(prog, 0, {"np": 1}, ())
-    assert actions == [Comm("send", 0, DataKind.INT, 1), FinalizeAction()]
+    assert actions == [Comm("send", 0, DataKind.INT, 1)]
 
 
 def test_erasure_minimal_program():
     prog = parse_program("init\nfinalize\n")
-    assert erase_to_trace(prog, 0, {"np": 2}, ()) == [FinalizeAction()]
+    assert erase_to_trace(prog, 0, {"np": 2}, ()) == []
 
 
 def test_erasure_consumes_the_tape_in_lockstep(fdiff_program_text):

@@ -332,15 +332,28 @@ def test_simulate_searches_both_choice_branches_at_loop_bound_zero(tmp_path, cap
     assert "  decision choice enter" in out.splitlines()
 
 
-@pytest.mark.parametrize("limit", ["0", "-1"])
-def test_simulate_rejects_a_state_limit_below_one(tmp_path, capsys, limit):
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--state-limit", "0", "N must be >= 1, got 0"),
+        ("--state-limit", "-1", "N must be >= 1, got -1"),
+        ("--max-loop-iters", "-1", "N must be >= 0, got -1"),
+    ]
+    + [
+        # an N is read as a --param VALUE is
+        (flag, value, f"invalid int value: {value!r}")
+        for flag in ("--state-limit", "--max-loop-iters")
+        for value in ("1_0", " 2", "\u0663", "0x9", "many")
+    ],
+)
+def test_simulate_rejects_a_bad_integer_flag(tmp_path, capsys, flag, value, message):
     (tmp_path / "a.clt").write_text("send(1,MPI_INT,1).end\n")
     (tmp_path / "b.clt").write_text("receive(0,MPI_INT,1).end\n")
     views = [str(tmp_path / "a.clt"), str(tmp_path / "b.clt")]
-    code, out, err = run(capsys, "simulate", *views, "--state-limit", limit)
+    code, out, err = run(capsys, "simulate", *views, flag, value)
     assert code == EXIT_USAGE
     assert out == ""
-    assert err.splitlines()[-1].endswith(f"--state-limit: N must be >= 1, got {limit}")
+    assert err.splitlines()[-1].endswith(f"{flag}: {message}")
 
 
 def test_simulate_state_limit(ring, capsys):

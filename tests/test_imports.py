@@ -7,6 +7,9 @@ check. `__init__` is exempt: it imports names to re-export them.
 No module enlarges the interpreter's stack or recursion limit, so a
 walk that recurses along a spine cannot pass for an iterative one.
 
+`sim` imports from `terms` alone: the search, its witnesses and
+`trace_to_term` need nothing of the verifier.
+
 `__all__` of the package lists each name `__init__` imports, once.
 """
 
@@ -46,6 +49,25 @@ def test_every_imported_name_is_used(path):
 def test_the_check_sees_an_unused_name():
     source = "from .terms import Comm, End\nimport enum\n\ndef f():\n    return End()\n"
     assert unused_imports(source) == ["1: Comm", "2: enum"]
+
+
+def package_imports(source: str) -> list[str]:
+    """The modules of the package that `source` imports from, in order."""
+    return [
+        node.module
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+    ]
+
+
+def test_sim_imports_from_terms_alone():
+    sim = Path(commcheck.__file__).parent / "sim.py"
+    assert package_imports(sim.read_text()) == ["terms"]
+
+
+def test_the_check_sees_each_package_import():
+    source = "import re\nfrom .terms import Comm\nfrom .typestate import step\nfrom typing import Any\n"
+    assert package_imports(source) == ["terms", "typestate"]
 
 
 def stack_resizers(source: str) -> list[str]:

@@ -25,7 +25,6 @@ from commcheck.sim import (
     trace_to_term,
 )
 from commcheck.terms import Comm, DataKind, End, ReduceOp, concat
-from commcheck.typestate import FinalizeAction
 
 from proto_gen import random_protocol
 
@@ -496,17 +495,10 @@ def test_trace_to_term_round_trip():
     actions = [
         Comm("send", 1, DataKind.INT, 1),
         Comm("receive", 1, DataKind.INT, 2),
-        FinalizeAction(),
     ]
     term = trace_to_term(actions)
     assert term == lt("send(1,MPI_INT,1).receive(1,MPI_INT,2).end")
 
 
-def test_trace_to_term_rejects_mid_trace_finalize():
-    with pytest.raises(ValueError):
-        trace_to_term([FinalizeAction(), Comm("send", 1, DataKind.INT, 1)])
-
-
 def test_trace_to_term_empty():
     assert trace_to_term([]) == End()
-    assert trace_to_term([FinalizeAction()]) == End()

@@ -24,7 +24,6 @@ from commcheck.typestate import (
     AtCollectiveBoundary,
     BufferFacts,
     BufferObligation,
-    FinalizeAction,
     HeadMismatch,
     NotAPrefix,
     ResidualNotEnd,
@@ -218,7 +217,7 @@ def test_head_mismatch_reported_before_buffer_trouble():
 def test_all_errors_are_step_errors_with_codes():
     errs = []
     for thunk in (
-        lambda: step(lt("end"), FinalizeAction()),
+        lambda: step(lt("end"), Comm("send", 0, DataKind.INT, 1)),
         lambda: step(lt("loop(end).end"), Comm("send", 0, DataKind.INT, 1)),
         lambda: step(lt("send(1,MPI_INT,1).end"), Comm("send", 0, DataKind.INT, 1)),
         lambda: check_finalized(lt("loop(end).end")),
@@ -285,7 +284,6 @@ def test_describe_action_is_printable_for_all_actions():
         Comm("gather", 2, DataKind.FLOAT, 4),
         Comm("bcast", 1, DataKind.INT, 5),
         Comm("allreduce", None, DataKind.FLOAT, 1, ReduceOp.MIN),
-        FinalizeAction(),
     ]
     for a in samples:
         text = describe_action(a)

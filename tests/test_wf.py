@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import random
 
+import pytest
+
 from commcheck.parser import parse_protocol
 from commcheck.wf import MAX_PROCS, check_wf
 
@@ -88,10 +90,17 @@ def test_process_count_bounds():
     assert check_wf(parse_protocol(f"nprocs {MAX_PROCS - 1}.\nend"), {}).ok
 
 
-def test_non_integer_binder_value():
-    proto = parse_protocol("Pi n: nat.\nnprocs 2.\nend")
-    report = check_wf(proto, {"n": True})
-    assert report.ok  # bool is an int in Python; accepted as 1
+@pytest.mark.parametrize("kind", ["int", "nat", "{x:int|x>0}"])
+@pytest.mark.parametrize("value", [True, 1.5])
+def test_non_integer_binder_value(kind, value):
+    # A bool is an int in Python, but neither it nor a float is a value of
+    # an integer kind: projected, it would print as no `.clt` literal.
+    proto = parse_protocol(f"Pi n: {kind}.\nnprocs 2.\nmessage(0,1,MPI_INT,n).end")
+    report = check_wf(proto, {"n": value})
+    assert report.render_lines() == [
+        f"<protocol>:1:4: [refinement-violated] value {value} does not satisfy the kind of 'n'"
+        " (at param n)"
+    ]
 
 
 def test_all_problems_collected_not_just_first():
