@@ -7,14 +7,7 @@ views rank by rank or search every interleaving of the ensemble for
 deadlocks under synchronous (unbuffered) semantics.
 """
 
-from .checker import (
-    CheckDiagnostic,
-    CheckReport,
-    IllFormedProtocol,
-    RankReport,
-    check_compliance,
-    erase_to_trace,
-)
+from .checker import CheckReport, IllFormedProtocol, check_compliance, erase_to_trace
 from .exprs import (
     Env,
     ExprError,
@@ -70,7 +63,7 @@ from .typestate import (
     next_type,
     step,
 )
-from .wf import WfDiagnostic, WfReport, check_wf
+from .wf import Diagnostic, WfReport, check_wf
 
 __version__ = "0.1.0"
 
@@ -78,12 +71,12 @@ __all__ = [
     "AllDone",
     "AtCollectiveBoundary",
     "BufferFacts",
-    "CheckDiagnostic",
     "CheckReport",
     "Comm",
     "DataKind",
     "Deadlock",
     "DEFAULT_STATE_LIMIT",
+    "Diagnostic",
     "Env",
     "ExprError",
     "GlobalType",
@@ -96,7 +89,6 @@ __all__ = [
     "Program",
     "ProjectionResult",
     "Protocol",
-    "RankReport",
     "ReduceOp",
     "ResidualNotEnd",
     "SimState",
@@ -105,7 +97,6 @@ __all__ = [
     "StepError",
     "TapeExhausted",
     "TypeTerm",
-    "WfDiagnostic",
     "WfReport",
     "check_compliance",
     "check_finalized",

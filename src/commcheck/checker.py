@@ -16,10 +16,10 @@ is compliant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
-from .exprs import Env, ExprError, Pos, eval_expr, eval_pred
+from .exprs import Env, ExprError, eval_expr, eval_pred
 from .program import (
     BufferDecl,
     CollChoice,
@@ -39,41 +39,22 @@ from .projection import project
 from .sim import _tape_entry
 from .terms import Choice, Comm, DataKind, End, Loop, Protocol
 from .typestate import BufferFacts, StepError, check_finalized, describe_node, step
-from .wf import WfReport, check_wf
-
-
-@dataclass(frozen=True)
-class CheckDiagnostic:
-    rank: int
-    code: str
-    message: str
-    pos: Pos | None = None
-
-    def render(self, filename: str = "<program>") -> str:
-        loc = f"{filename}:{self.pos}" if self.pos else filename
-        return f"{loc}: rank {self.rank}: [{self.code}] {self.message}"
-
-
-@dataclass
-class RankReport:
-    rank: int
-    diagnostics: list[CheckDiagnostic] = field(default_factory=list)
-
-    @property
-    def compliant(self) -> bool:
-        return not self.diagnostics
+from .wf import Diagnostic, WfReport, check_wf
 
 
 @dataclass
 class CheckReport:
-    ranks: list[RankReport]
+    """The diagnostics of each rank, in rank order: the defect that
+    stopped its walk, a divergence from lower ranks, or none."""
+
+    ranks: list[list[Diagnostic]]
 
     @property
     def compliant(self) -> bool:
-        return all(r.compliant for r in self.ranks)
+        return not any(self.ranks)
 
-    def all_diagnostics(self) -> list[CheckDiagnostic]:
-        return [d for r in self.ranks for d in r.diagnostics]
+    def all_diagnostics(self) -> list[Diagnostic]:
+        return [d for diags in self.ranks for d in diags]
 
     def render_lines(self, filename: str = "<program>") -> list[str]:
         return [d.render(filename) for d in self.all_diagnostics()]
@@ -110,19 +91,19 @@ def check_compliance(prog: Program, protocol: Protocol, inst: Env) -> CheckRepor
     if not wf.ok:
         raise IllFormedProtocol(wf)
 
-    reports: list[RankReport] = []
+    reports: list[list[Diagnostic]] = []
     traces: list[tuple[tuple[str, int], ...]] = []
     missing = [name for name in prog.params if name not in inst]
     for rank in range(protocol.num_procs):
         env = {"me": rank, "np": protocol.num_procs}
-        diagnostics: list[CheckDiagnostic] = []
+        diagnostics: list[Diagnostic] = []
         decisions: list[tuple[str, int]] = []  # collective construct arrivals, in order
         if missing:
             diagnostics.append(
-                CheckDiagnostic(
-                    rank,
+                Diagnostic(
                     "unbound-parameter",
                     "no value given for program parameter(s) " + ", ".join(missing),
+                    rank=rank,
                 )
             )
         else:
@@ -133,8 +114,8 @@ def check_compliance(prog: Program, protocol: Protocol, inst: Env) -> CheckRepor
                 # the residual.
                 _walk(prog.body, local, env, {}, decisions)
             except _Defect as defect:
-                diagnostics.append(CheckDiagnostic(rank, *defect.args))
-        reports.append(RankReport(rank, diagnostics))
+                diagnostics.append(Diagnostic(*defect.args, rank=rank))
+        reports.append(diagnostics)
         traces.append(tuple(decisions))
 
     # Ranks must agree on which collective constructs they enter and in
@@ -142,18 +123,18 @@ def check_compliance(prog: Program, protocol: Protocol, inst: Env) -> CheckRepor
     # rank, so disagreement among otherwise-compliant ranks means the
     # program steered ranks into different collective constructs.
     reference: tuple[tuple[str, int], ...] | None = None
-    for report, trace in zip(reports, traces):
-        if not report.compliant:
+    for rank, (diagnostics, trace) in enumerate(zip(reports, traces)):
+        if diagnostics:
             continue
         if reference is None:
             reference = trace
         elif trace != reference:
-            report.diagnostics.append(
-                CheckDiagnostic(
-                    report.rank,
+            diagnostics.append(
+                Diagnostic(
                     "collective-structure-divergence",
-                    f"rank {report.rank} enters a different sequence of collective"
+                    f"rank {rank} enters a different sequence of collective"
                     " constructs than lower ranks",
+                    rank=rank,
                 )
             )
     return CheckReport(reports)
@@ -263,7 +244,8 @@ def erase_to_trace(prog: Program, rank: int, env: Env, tape: Sequence[bool]) -> 
     arrival (continue or exit) and per collective choice, read by index
     from its start, so one tape serves every rank. Erasure does not
     consult any protocol, so it also applies to non-compliant programs;
-    expression errors and tape exhaustion raise.
+    expression errors, tape exhaustion and an unknown buffer (a
+    ValueError) raise.
     """
     scope: Env = {**env, "me": rank}
     buffers: dict[str, DataKind] = {}
@@ -277,6 +259,8 @@ def _erase(stmts, scope: Env, buffers, tape: Sequence[bool], taken: int, out: li
     `taken` of `tape`; the number of decisions taken after them."""
     for stmt in stmts:
         if isinstance(stmt, CommStmt):
+            if stmt.buf not in buffers:
+                raise ValueError(f"no buffer named '{stmt.buf}'")
             out.append(_stmt_comm(stmt, buffers[stmt.buf], scope))
         elif isinstance(stmt, RankIf):
             body = stmt.then_body if eval_pred(stmt.guard, scope) else stmt.else_body

@@ -28,7 +28,7 @@ import sys
 from functools import cache, partial
 from pathlib import Path
 
-from .checker import CheckDiagnostic, IllFormedProtocol, check_compliance
+from .checker import IllFormedProtocol, check_compliance
 from .exprs import Env, ExprError
 from .lexer import ParseError
 from .parser import parse_local_term, parse_protocol
@@ -45,7 +45,7 @@ from .sim import (
     format_trail,
 )
 from .terms import Protocol, ground_term
-from .wf import WfReport, check_wf
+from .wf import Diagnostic, check_wf
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -58,15 +58,6 @@ class _UsageError(Exception):
 
 class _Failed(Exception):
     """The input has a defect, already reported on stderr."""
-
-
-def _fmt_pos(pos) -> str:
-    return f"{pos.line}.{pos.col}" if pos else "0.0"
-
-
-def _report_line(rank, diag) -> str:
-    r = "-" if rank is None else str(rank)
-    return f"{r}:{_fmt_pos(diag.pos)}:{diag.code}:{diag.message}"
 
 
 def _read_text(path: str) -> str:
@@ -127,21 +118,15 @@ def _require_params(protocol: Protocol, inst: Env) -> None:
         )
 
 
-def _emit_wf(wf: WfReport, path: str, report: bool) -> None:
-    """Report the protocol's well-formedness diagnostics; any is a defect."""
-    for d in wf.diagnostics:
-        print(d.render(path), file=sys.stderr)
-        if report:
-            print(_report_line(None, d))
-    if not wf.ok:
-        raise _Failed
-
-
-def _emit_check(diags: list[CheckDiagnostic], filename: str, report: bool) -> None:
+def _emit(diags: list[Diagnostic], filename: str, report: bool) -> None:
+    """Report each diagnostic on stderr, and with --report on stdout too;
+    any is a defect."""
     for d in diags:
         print(d.render(filename), file=sys.stderr)
         if report:
-            print(_report_line(d.rank, d))
+            print(d.report_line())
+    if diags:
+        raise _Failed
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +138,7 @@ def _cmd_validate(args) -> int:
     protocol = _parse(args.protocol, parse_protocol)
     inst = _parse_params(args.param, args.manifest)
     _require_params(protocol, inst)
-    _emit_wf(check_wf(protocol, inst), args.protocol, args.report)
+    _emit(check_wf(protocol, inst).diagnostics, args.protocol, args.report)
     print(f"{args.protocol}: well-formed for {protocol.num_procs} processes")
     return EXIT_OK
 
@@ -162,7 +147,7 @@ def _cmd_project(args) -> int:
     protocol = _parse(args.protocol, parse_protocol)
     inst = _parse_params(args.param, args.manifest)
     _require_params(protocol, inst)
-    _emit_wf(check_wf(protocol, inst), args.protocol, args.report)
+    _emit(check_wf(protocol, inst).diagnostics, args.protocol, args.report)
     out_dir = Path(args.out)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -189,13 +174,11 @@ def _cmd_verify(args) -> int:
     try:
         result = check_compliance(prog, protocol, inst)
     except IllFormedProtocol as err:
-        _emit_wf(err.report, args.protocol, args.report)  # raises _Failed
-    _emit_check(result.all_diagnostics(), args.program, args.report)
-    if result.compliant:
-        print(f"{args.program}: compliant with {args.protocol} on all"
-              f" {protocol.num_procs} ranks")
-        return EXIT_OK
-    return EXIT_FAIL
+        _emit(err.report.diagnostics, args.protocol, args.report)  # raises _Failed
+    _emit(result.all_diagnostics(), args.program, args.report)
+    print(f"{args.program}: compliant with {args.protocol} on all"
+          f" {protocol.num_procs} ranks")
+    return EXIT_OK
 
 
 def _print_verdict(verdict: SimVerdict, witness_path: str | None) -> int:
@@ -228,7 +211,7 @@ def _cmd_simulate(args) -> int:
     if len(paths) == 1 and paths[0].endswith(".cty"):
         protocol = _parse(paths[0], parse_protocol)
         _require_params(protocol, inst)
-        _emit_wf(check_wf(protocol, inst), paths[0], args.report)
+        _emit(check_wf(protocol, inst).diagnostics, paths[0], args.report)
         views = list(project_all(protocol, inst).by_rank)
     else:
         views = []
@@ -240,7 +223,7 @@ def _cmd_simulate(args) -> int:
                 raise _UsageError(f"{path}: cannot ground local type: {err}") from None
             views.append(term)
     verdict = explore_all_tapes(
-        views, args.max_loop_iters, state_limit=args.state_limit
+        views, args.max_loop_iters, state_limit=args.state_limit, por=True
     )
     return _print_verdict(verdict, args.witness)
 

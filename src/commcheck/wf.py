@@ -9,7 +9,7 @@ and every parameter satisfies its declared kind.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import KW_ONLY, dataclass, field
 
 from .exprs import (
     Env,
@@ -38,20 +38,36 @@ MAX_PROCS = 32768
 
 
 @dataclass(frozen=True)
-class WfDiagnostic:
-    path: str
+class Diagnostic:
+    """One finding of `check_wf` or of the checker: a protocol finding
+    names the `path` of the term it concerns, a program finding the
+    `rank` whose walk found it."""
+
     code: str
     message: str
     pos: Pos | None = None
+    _: KW_ONLY
+    rank: int | None = None
+    path: str | None = None
 
-    def render(self, filename: str = "<protocol>") -> str:
+    def render(self, filename: str) -> str:
+        """`file[:line:col]: [rank r: ][code] message[ (at path)]`."""
         loc = f"{filename}:{self.pos}" if self.pos else filename
-        return f"{loc}: [{self.code}] {self.message} (at {self.path})"
+        who = "" if self.rank is None else f"rank {self.rank}: "
+        at = "" if self.path is None else f" (at {self.path})"
+        return f"{loc}: {who}[{self.code}] {self.message}{at}"
+
+    def report_line(self) -> str:
+        """`rank:line.col:code:message`, with `-` for no rank and `0.0`
+        for no position."""
+        who = "-" if self.rank is None else self.rank
+        pos = f"{self.pos.line}.{self.pos.col}" if self.pos else "0.0"
+        return f"{who}:{pos}:{self.code}:{self.message}"
 
 
 @dataclass
 class WfReport:
-    diagnostics: list[WfDiagnostic] = field(default_factory=list)
+    diagnostics: list[Diagnostic] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -71,7 +87,9 @@ def check_wf(protocol: Protocol, inst: Env) -> WfReport:
     declared = {b.name for b in protocol.params}
     for name in sorted(set(inst) - declared):
         report.diagnostics.append(
-            WfDiagnostic("params", "unknown-parameter", f"'{name}' is not a protocol parameter")
+            Diagnostic(
+                "unknown-parameter", f"'{name}' is not a protocol parameter", path="params"
+            )
         )
 
     env: Env = {}
@@ -80,11 +98,11 @@ def check_wf(protocol: Protocol, inst: Env) -> WfReport:
         if binder.name not in inst:
             missing = True
             report.diagnostics.append(
-                WfDiagnostic(
-                    f"param {binder.name}",
+                Diagnostic(
                     "missing-parameter",
                     f"no value given for parameter '{binder.name}'",
                     binder.pos,
+                    path=f"param {binder.name}",
                 )
             )
             continue
@@ -92,36 +110,36 @@ def check_wf(protocol: Protocol, inst: Env) -> WfReport:
         try:
             if not check_refinement(binder.kind, value, env):
                 report.diagnostics.append(
-                    WfDiagnostic(
-                        f"param {binder.name}",
+                    Diagnostic(
                         "refinement-violated",
                         f"value {value} does not satisfy the kind of '{binder.name}'",
                         binder.pos,
+                        path=f"param {binder.name}",
                     )
                 )
         except KindMismatch:
             report.diagnostics.append(
-                WfDiagnostic(
-                    f"param {binder.name}",
+                Diagnostic(
                     "kind-not-integer",
                     f"parameter '{binder.name}' must have an integer-valued kind",
                     binder.pos,
+                    path=f"param {binder.name}",
                 )
             )
         except ExprError as err:
             report.diagnostics.append(
-                WfDiagnostic(f"param {binder.name}", "eval-error", str(err), binder.pos)
+                Diagnostic("eval-error", str(err), binder.pos, path=f"param {binder.name}")
             )
         # Bind even a bad value so later parameters still get checked.
         env[binder.name] = value
 
     if not (MIN_PROCS < protocol.num_procs < MAX_PROCS):
         report.diagnostics.append(
-            WfDiagnostic(
-                "nprocs",
+            Diagnostic(
                 "procs-out-of-range",
                 f"process count must lie strictly between {MIN_PROCS} and {MAX_PROCS},"
                 f" got {protocol.num_procs}",
+                path="nprocs",
             )
         )
 
@@ -166,7 +184,7 @@ def _check_atom(atom, base: str, index: int, env: Env, num_procs: int, report: W
             found.append(("negative-length", f"length {length} is negative"))
     if found:
         path = f"{base}[{index}]"
-        report.diagnostics.extend(WfDiagnostic(path, code, msg, atom.pos) for code, msg in found)
+        report.diagnostics.extend(Diagnostic(code, msg, atom.pos, path=path) for code, msg in found)
 
 
 def _rank_of(e, role: str, env: Env, num_procs: int, found: list) -> int | None:

@@ -39,9 +39,9 @@ def test_flat_variant_fails_only_where_order_diverges(fdiff_protocol_text, fdiff
     prog = parse_program(fdiff_flat_program_text)
     report = check_compliance(prog, proto, {"size": 9})
     assert not report.compliant
-    assert report.ranks[0].compliant
-    assert report.ranks[2].compliant
-    assert [d.code for d in report.ranks[1].diagnostics] == ["head-mismatch:kind"]
+    assert not report.ranks[0]
+    assert not report.ranks[2]
+    assert [d.code for d in report.ranks[1]] == ["head-mismatch:kind"]
 
 
 def test_wf_violation_is_a_precondition_error(fdiff_protocol_text, fdiff_program_text):
@@ -141,7 +141,7 @@ def test_walk_stops_at_first_defect_per_rank():
         "finalize\n"
     )
     rank0 = report.ranks[0]
-    assert [d.code for d in rank0.diagnostics] == ["head-mismatch:len"]
+    assert [d.code for d in rank0] == ["head-mismatch:len"]
 
 
 def test_expected_loop_and_choice():
@@ -192,7 +192,7 @@ def test_collective_structure_divergence():
     assert not report.compliant
     codes = [d.code for d in report.all_diagnostics()]
     assert codes == ["collective-structure-divergence"]
-    assert report.ranks[0].compliant  # the reference rank stays clean
+    assert not report.ranks[0]  # the reference rank stays clean
 
 
 def test_same_statement_sequence_is_not_divergence():
@@ -374,6 +374,12 @@ def test_erasure_is_protocol_independent():
     )
     actions = erase_to_trace(prog, 0, {"np": 1}, ())
     assert actions == [Comm("send", 0, DataKind.INT, 1)]
+
+
+def test_erasure_of_an_unknown_buffer():
+    prog = parse_program("init\nsend peer=1 buf=nope len=1\nfinalize\n")
+    with pytest.raises(ValueError, match="^no buffer named 'nope'$"):
+        erase_to_trace(prog, 0, {"np": 2}, ())
 
 
 def test_erasure_minimal_program():

@@ -249,6 +249,30 @@ def test_verify_checks_well_formedness_once(ring, capsys, monkeypatch, size):
     assert len(calls) == 1
 
 
+def test_a_positionless_protocol_diagnostic(tmp_path, capsys):
+    cty = tmp_path / "p1.cty"
+    cty.write_text("nprocs 1.\nend")
+    message = "process count must lie strictly between 1 and 32768, got 1"
+    assert run(capsys, "validate", str(cty), "--report") == (
+        EXIT_FAIL,
+        f"-:0.0:procs-out-of-range:{message}\n",
+        f"{cty}: [procs-out-of-range] {message} (at nprocs)\n",
+    )
+
+
+def test_a_positionless_program_diagnostic(tmp_path, capsys):
+    cty = tmp_path / "loop.cty"
+    cty.write_text("nprocs 2.\nloop(end).end")
+    mmp = tmp_path / "prog.mmp"
+    mmp.write_text("init\nrankif (me == 0) { collloop { } } else { collloop { } }\nfinalize\n")
+    message = "rank 1 enters a different sequence of collective constructs than lower ranks"
+    assert run(capsys, "verify", str(mmp), str(cty), "--report") == (
+        EXIT_FAIL,
+        f"1:0.0:collective-structure-divergence:{message}\n",
+        f"{mmp}: rank 1: [collective-structure-divergence] {message}\n",
+    )
+
+
 @pytest.mark.parametrize("report", [[], ["--report"]])
 def test_verify_reports_an_ill_formed_protocol_as_validate_does(ring, capsys, report):
     cty = str(ring / "ring.cty")
@@ -384,6 +408,17 @@ def test_simulate_ill_formed_protocol(ring, capsys):
     code, _, err = run(capsys, "simulate", str(ring / "ring.cty"), "--param", "size=7")
     assert code == EXIT_FAIL
     assert "refinement-violated" in err
+
+
+def test_simulate_reduces_disjoint_pairs(tmp_path, capsys):
+    # 20 disjoint pairs, each free to go first: unreduced, the search
+    # visits one state per subset of finished pairs, 2**20 of them;
+    # reduced, it visits one state per step
+    cty = tmp_path / "pairs.cty"
+    messages = "".join(f"message({2 * i},{2 * i + 1},MPI_INT,1)." for i in range(20))
+    cty.write_text(f"nprocs 40.\n{messages}end\n")
+    result = run(capsys, "simulate", str(cty), "--state-limit", "10000")
+    assert result == (EXIT_OK, "verdict: all-done (21 states explored)\n", "")
 
 
 # -- syntax errors and internal errors ----------------------------------------
