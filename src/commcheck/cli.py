@@ -89,14 +89,20 @@ def _parse_params(pairs: list[str], manifest: str | None) -> Env:
 # An integer on the command line, a parameter value or a flag's N:
 # ASCII decimal digits with an optional sign, read as the protocol's
 # integer literals are (`09` is 9). `0x9`, `9_0`, Unicode digits and
-# surrounding spaces are refused.
-_INT_VALUE = re.compile(r"[+-]?[0-9]+")
+# surrounding spaces are refused, and so are more than 640 digits after
+# the leading zeros (the groups): no interpreter limits `int` and `str`
+# to fewer, and 20 digits are past the signed 64-bit range already.
+_INT_VALUE = re.compile(r"([+-]?)0*([0-9]+)")
+_MAX_DIGITS = 640
 
 
 def _int_value(name: str, value: str) -> int:
-    if _INT_VALUE.fullmatch(value) is None:
+    m = _INT_VALUE.fullmatch(value)
+    if m is None:
         raise _UsageError(f"parameter '{name}' needs an integer value, got '{value}'")
-    return int(value)
+    if len(m[2]) > _MAX_DIGITS:
+        raise _UsageError(f"parameter '{name}' has {len(m[2])} digits, past the 64-bit range")
+    return int(m[1] + m[2])
 
 
 def _parse(path: str, parse):
@@ -254,10 +260,13 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
 
 
 def _int_at_least(low: int, text: str) -> int:
-    if _INT_VALUE.fullmatch(text) is None:
+    m = _INT_VALUE.fullmatch(text)
+    if m is None:
         # the message argparse gives for `type=int`
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    value = int(text)
+    if len(m[2]) > _MAX_DIGITS:
+        raise argparse.ArgumentTypeError(f"N must have at most {_MAX_DIGITS} digits, got {len(m[2])}")
+    value = int(m[1] + m[2])
     if value < low:
         raise argparse.ArgumentTypeError(f"N must be >= {low}, got {value}")
     return value

@@ -11,7 +11,7 @@ name is an error, never a default.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
 INT64_MIN = -(2**63)
 INT64_MAX = 2**63 - 1
@@ -20,9 +20,10 @@ INT64_MAX = 2**63 - 1
 Env = dict[str, int]
 
 
-@dataclass(frozen=True)
-class Pos:
-    """1-based line/column source position."""
+class Pos(NamedTuple):
+    """1-based line/column source position. A named tuple: every node
+    keeps its `pos` out of comparisons and hashing, so tuple equality
+    never meets another record."""
 
     line: int
     col: int

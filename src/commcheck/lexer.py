@@ -1,18 +1,20 @@
 """Tokenizer shared by the protocol and program parsers.
 
-`tokenize` scans the text with one `findall` of one regular expression
-into (skipped text, token) pairs; the last token is the empty text at
-the end, the eof token. Summing the pieces' lengths gives every token's
-start offset; a sum that falls short of the text's length ends at the
+`tokenize` scans the text with one `re.split` of one regular expression,
+whose single group captures a token or a `//` comment. The parts
+alternate skipped text and tokens; one running sum of their lengths
+gives every token's start offset, and the last part ends at the eof
+token, the empty text at the end. Comments are then dropped. Skipped
+text may hold ASCII whitespace only: its first other character is the
 first character outside the alphabet.
 
 The result is a read-only sequence over flat lists: the token texts,
 their offsets and the text's line starts, found once per call. The
 parsers read the lists and treat a token as its index. A `Token` is
 built only when the sequence is indexed or iterated, and a `Pos` only
-when a position is read, by bisection over the line starts. A token's
-kind follows from its text, as identifiers, integers, punctuation and
-the eof text "" never coincide.
+when a position is read, by bisection over the line starts (`pos_at`).
+A token's kind follows from its text, as identifiers, integers,
+punctuation and the eof text "" never coincide.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_right
 from collections.abc import Sequence
-from itertools import accumulate, chain
+from itertools import accumulate, compress
 
 from .exprs import Pos
 
@@ -51,13 +53,14 @@ class Token:
 
     @property
     def pos(self) -> Pos:
-        return _pos(self.line_starts, self.offset)
+        return pos_at(self.line_starts, self.offset)
 
     def __repr__(self) -> str:
         return f"Token({self.kind!r}, {self.text!r}, {self.pos})"
 
 
-def _pos(line_starts: list[int], offset: int) -> Pos:
+def pos_at(line_starts: list[int], offset: int) -> Pos:
+    """The position of `offset` in a text whose lines start at `line_starts`."""
     line = bisect_right(line_starts, offset)
     return Pos(line, offset - line_starts[line - 1] + 1)
 
@@ -83,24 +86,16 @@ class Tokens(Sequence):
         kind = "ident" if text.isidentifier() else "int" if text.isdigit() else "punct"
         return Token(kind if text else "eof", text, self.offsets[i], self.line_starts)
 
-    def pos(self, i: int) -> Pos:
-        """The position of token `i`."""
-        return _pos(self.line_starts, self.offsets[i])
 
-
-# A match is the skipped whitespace and comments, then a token, where
-# multi-character operators come before their single-character prefixes
-# and the empty text at the end is the eof token. Where no token follows
-# the skip, the ungrouped `.+` takes the rest of the text: its length is
-# missing from the pairs, whose sum then ends at the foreign character.
-# Under re.ASCII only ASCII digits make an integer and only ASCII
-# whitespace separates tokens, so a Unicode digit or space is a foreign
-# character.
+# The one group captures a token or a comment; the text between two
+# matches is skipped. Multi-character operators come before their
+# single-character prefixes, and a comment before '/'. Under re.ASCII
+# only ASCII letters and digits make a token, so a Unicode digit or
+# space falls in the skipped text, where it is a foreign character.
 _TOKEN = re.compile(
-    r"(\s*(?://[^\n]*\s*)*)"
-    r"(?:([A-Za-z_]\w*|\d+|==|!=|<=|>=|&&|\|\||[(){}\[\],.:|<>!=+\-*/%]|\Z)|.+)",
-    re.A | re.S,
+    r"([A-Za-z_]\w*|\d+|//[^\n]*|==|!=|<=|>=|&&|\|\||[(){}\[\],.:|<>!=+\-*/%])", re.A
 )
+_SPACE = " \t\n\r\f\v"
 
 
 def tokenize(text: str) -> Tokens:
@@ -111,11 +106,20 @@ def tokenize(text: str) -> Tokens:
     # Line starts are the running sums of the lines' lengths, newline included.
     line_lengths = map((1).__add__, map(len, text.split("\n")[:-1]))
     line_starts = list(accumulate(line_lengths, initial=0))
-    pairs = _TOKEN.findall(text)
-    if len(pairs) > 1 and not pairs[-2][1]:
-        del pairs[-1]  # the empty match after a match that ends the text
-    ends = list(accumulate(map(len, chain.from_iterable(pairs))))
-    at = ends[-1]
-    if at != len(text):
-        raise ParseError(_pos(line_starts, at), f"unexpected character {text[at]!r}")
-    return Tokens([tok for _, tok in pairs], ends[::2], line_starts)
+    # Parts alternate skipped text and tokens, [gap, token, ..., gap]; the
+    # running sums of their lengths end gap k at the offset of token k,
+    # and the last gap at the end of the text, the eof token's offset.
+    parts = _TOKEN.split(text)
+    offsets = list(accumulate(map(len, parts)))[::2]
+    gaps = parts[::2]
+    if "".join(gaps).strip(_SPACE):
+        k = next(k for k, gap in enumerate(gaps) if gap.strip(_SPACE))
+        at = offsets[k] - len(gaps[k].lstrip(_SPACE))
+        raise ParseError(pos_at(line_starts, at), f"unexpected character {text[at]!r}")
+    texts = parts[1::2]
+    texts.append("")
+    if "//" in text:  # drop the comments
+        keep = [t[:2] != "//" for t in texts]
+        texts = list(compress(texts, keep))
+        offsets = list(compress(offsets, keep))
+    return Tokens(texts, offsets, line_starts)

@@ -9,10 +9,16 @@ from exhausting the interpreter stack.
 
 The parsers read the tokenizer's flat lists: a token is its index, its
 kind is told by its text, and a `Pos` is built only for a position that
-is stored or reported. An operand that is a lone integer literal or
-name, not followed by an arithmetic operator, is read in one step; that
-gives the tree, the depth check and the errors of the full expression
-grammar, which every other operand takes.
+is stored or reported. The productions every atom and statement takes
+(an atom, the spine, a program's communication statement and block)
+test the token texts by index; `expect` and `eat` serve the rest. An
+operand that is a lone integer literal or name, not followed by an
+arithmetic operator, is read in one step; that gives the tree, the
+depth check and the errors of the full expression grammar, which every
+other operand takes. One parse builds one leaf per distinct literal or
+name text, shared by every operand that writes it: `Lit` and `Var` are
+frozen, so no reader can tell. An integer literal of more than 19
+significant digits is out of range by its length alone.
 """
 
 from __future__ import annotations
@@ -39,7 +45,7 @@ from .exprs import (
     Var,
     INT64_MAX,
 )
-from .lexer import ParseError, tokenize
+from .lexer import ParseError, pos_at, tokenize
 from .terms import (
     ATOM_FIELDS,
     ATOM_NAMES,
@@ -74,6 +80,8 @@ _KEYWORDS = frozenset(
 # The atoms each side may write, by name, in the order of their union.
 _GLOBAL_ATOMS = {ATOM_NAMES[cls]: cls for cls in get_args(GlobalAtom)}
 _LOCAL_ATOMS = {ATOM_NAMES[cls]: cls for cls in get_args(LocalAtom)}
+# The labels an atom's argument is written with; any other is an expression.
+_LABELS = {"dtype": _DTYPES, "op": _REDUCE_OPS}
 
 _CMP_OPS = ("==", "!=", "<=", ">=", "<", ">")
 _ARITH = frozenset("+-*/%")
@@ -89,20 +97,19 @@ class BaseParser:
     expr_keywords: frozenset[str] = frozenset()
 
     def __init__(self, text: str):
-        self.toks = tokenize(text)
-        self.texts = self.toks.texts
+        toks = tokenize(text)
+        self.texts = toks.texts
+        self.offsets = toks.offsets
+        self.line_starts = toks.line_starts
+        self.leaves: dict[str, Lit | Var] = {}  # by text
         self.i = 0
         self.depth = 0
 
     # -- token plumbing --
 
-    def peek(self) -> str:
-        """The text of the current token; "" at the end of input."""
-        return self.texts[self.i]
-
     def pos(self, i: int | None = None) -> Pos:
         """The position of token `i`, by default the current one."""
-        return self.toks.pos(self.i if i is None else i)
+        return pos_at(self.line_starts, self.offsets[self.i if i is None else i])
 
     def eat(self, text: str) -> bool:
         """Step over the current token if its text is `text`."""
@@ -111,10 +118,12 @@ class BaseParser:
             return True
         return False
 
-    def fail(self, *expected: str) -> ParseError:
-        text = self.texts[self.i]
+    def fail(self, *expected: str, at: int | None = None) -> ParseError:
+        """Raise the error of token `at`, by default the current one."""
+        at = self.i if at is None else at
+        text = self.texts[at]
         found = f"'{text}'" if text else "end of input"
-        raise ParseError(self.pos(), f"unexpected {found}", expected)
+        raise ParseError(self.pos(at), f"unexpected {found}", expected)
 
     def expect(self, text: str) -> None:
         """Step over the current token, which must be `text`."""
@@ -130,15 +139,22 @@ class BaseParser:
         self.i += 1
         return i
 
-    def expect_int(self) -> int:
-        text = self.texts[self.i]
-        if not text.isdigit():
-            self.fail("an integer literal")
-        value = int(text)
-        if value > INT64_MAX:
-            raise ParseError(self.pos(), f"integer literal {text} out of range")
-        self.i += 1
-        return value
+    def _leaf(self, i: int) -> Lit | Var | None:
+        """The literal or variable that token `i` writes, the same one for
+        every occurrence of its text; None for any other token."""
+        text = self.texts[i]
+        leaf = self.leaves.get(text)
+        if leaf is None:
+            if text.isdigit():
+                # More than 19 significant digits exceed INT64_MAX, so `int`
+                # never meets its limit on the digits of a string.
+                digits = text.lstrip("0") or "0"
+                if len(digits) > 19 or (value := int(digits)) > INT64_MAX:
+                    raise ParseError(self.pos(i), f"integer literal {text} out of range")
+                leaf = self.leaves[text] = Lit(value)
+            elif text.isidentifier() and text not in self.expr_keywords:
+                leaf = self.leaves[text] = Var(text)
+        return leaf
 
     def expect_eof(self) -> None:
         if self.texts[self.i]:
@@ -157,20 +173,15 @@ class BaseParser:
     def parse_expr(self) -> Expr:
         # A lone literal or name, not followed by an arithmetic operator,
         # in one step: the tree the grammar below would build, under the
-        # same depth cap. An out-of-range literal or a keyword falls
-        # through to the grammar, which reports it.
+        # same depth cap and with the same out-of-range error. A keyword
+        # falls through to the grammar, which reports it.
         i = self.i
         texts = self.texts
-        text = texts[i]
-        if text and texts[i + 1] not in _ARITH and self.depth < _MAX_DEPTH:
-            if text.isdigit():
-                value = int(text)
-                if value <= INT64_MAX:
-                    self.i = i + 1
-                    return Lit(value)
-            elif text.isidentifier() and text not in self.expr_keywords:
+        if texts[i] and texts[i + 1] not in _ARITH and self.depth < _MAX_DEPTH:
+            leaf = self.leaves.get(texts[i]) or self._leaf(i)
+            if leaf is not None:
                 self.i = i + 1
-                return Var(text)
+                return leaf
         self._enter()
         try:
             e = self._mul_expr()
@@ -197,12 +208,10 @@ class BaseParser:
         return self._atom_expr()
 
     def _atom_expr(self) -> Expr:
-        text = self.texts[self.i]
-        if text.isdigit():
-            return Lit(self.expect_int())
-        if text.isidentifier() and text not in self.expr_keywords:
+        leaf = self._leaf(self.i)
+        if leaf is not None:
             self.i += 1
-            return Var(text)
+            return leaf
         if self.eat("("):
             e = self.parse_expr()
             self.expect(")")
@@ -236,7 +245,7 @@ class BaseParser:
     def _pred_atom(self) -> Pred:
         # '(' is ambiguous: try a parenthesized predicate, fall back to a
         # comparison whose left operand happens to be parenthesized.
-        if self.peek() == "(":
+        if self.texts[self.i] == "(":
             mark = self.i
             paren_err: ParseError | None = None
             try:
@@ -264,7 +273,7 @@ class BaseParser:
 
 
 def _further(a: ParseError, b: ParseError) -> ParseError:
-    return b if (b.pos.line, b.pos.col) >= (a.pos.line, a.pos.col) else a
+    return b if b.pos >= a.pos else a
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +297,10 @@ class _ProtocolParser(BaseParser):
             binders.append(ParamBinder(name, kind, pos=self.pos(at)))
         self.expect("nprocs")
         count_at = self.i
-        num_procs = self.expect_int()
+        if not self.texts[count_at].isdigit():
+            self.fail("an integer literal")
+        num_procs = self._leaf(count_at).value
+        self.i += 1
         if num_procs < 1:
             raise ParseError(self.pos(count_at), "process count must be positive")
         self.expect(".")
@@ -309,7 +321,7 @@ class _ProtocolParser(BaseParser):
             self._exit()
 
     def _base_kind(self) -> Kind:
-        base = _BASE_KINDS.get(self.peek())
+        base = _BASE_KINDS.get(self.texts[self.i])
         if base is not None:
             self.i += 1
             return base
@@ -347,7 +359,9 @@ class _ProtocolParser(BaseParser):
                     self.expect(")")
                 else:
                     heads.append((Prefix, self.parse_atom(local)))
-                self.expect(".")
+                if texts[self.i] != ".":
+                    self.fail("'.'")
+                self.i += 1
             self.i += 1
             return rebuild(heads)
         finally:
@@ -355,31 +369,35 @@ class _ProtocolParser(BaseParser):
 
     def parse_atom(self, local: bool) -> Atom:
         names = _LOCAL_ATOMS if local else _GLOBAL_ATOMS
+        texts = self.texts
         at = self.i
-        cls = names.get(self.texts[at])
+        cls = names.get(texts[at])
         if cls is None:
             self.fail("'end'", "'loop'", "'choice'", *(f"'{n}'" for n in names))
-        self.i += 1
-        self.expect("(")
+        if texts[at + 1] != "(":
+            self.fail("'('", at=at + 1)
+        i = at + 2
         args = []
-        for i, name in enumerate(ATOM_FIELDS[cls]):
-            if i:
-                self.expect(",")
-            if name == "dtype":
-                args.append(self._label(_DTYPES))
-            elif name == "op":
-                args.append(self._label(_REDUCE_OPS))
-            else:
+        for name in ATOM_FIELDS[cls]:
+            if args:
+                if texts[i] != ",":
+                    self.fail("','", at=i)
+                i += 1
+            labels = _LABELS.get(name)
+            if labels is None:
+                self.i = i
                 args.append(self.parse_expr())
-        self.expect(")")
-        return cls(*args, pos=self.pos(at))
-
-    def _label(self, labels: dict):
-        label = labels.get(self.peek())
-        if label is None:
-            self.fail(*(f"'{n}'" for n in labels))
-        self.i += 1
-        return label
+                i = self.i
+            else:
+                label = labels.get(texts[i])
+                if label is None:
+                    self.fail(*(f"'{n}'" for n in labels), at=i)
+                args.append(label)
+                i += 1
+        if texts[i] != ")":
+            self.fail("')'", at=i)
+        self.i = i + 1
+        return cls(*args, pos=pos_at(self.line_starts, self.offsets[at]))
 
 
 def parse_protocol(text: str) -> Protocol:

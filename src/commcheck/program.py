@@ -20,21 +20,22 @@ from dataclasses import dataclass, field
 from typing import Union
 
 from .exprs import Expr, Pos, Pred
-from .lexer import ParseError
+from .lexer import ParseError, pos_at
 from .parser import BaseParser
 from .terms import DataKind, ReduceOp
 
 RESERVED_NAMES = frozenset({"me", "np"})
 
-# Each communication statement's word, with its `CommStmt` kind and the
-# key of its peer or root (None for an allreduce, which has neither).
+# Each communication statement's word, with its `CommStmt` kind and its
+# keys in written order. The value of `buf` and `op` is a name, that of
+# any other key an expression.
 _COMM_WORDS = {
-    "send": ("send", "peer"),
-    "recv": ("receive", "peer"),
-    "scatter": ("scatter", "root"),
-    "gather": ("gather", "root"),
-    "bcast": ("bcast", "root"),
-    "allreduce": ("allreduce", None),
+    "send": ("send", ("peer", "buf", "len")),
+    "recv": ("receive", ("peer", "buf", "len")),
+    "scatter": ("scatter", ("root", "buf", "len")),
+    "gather": ("gather", ("root", "buf", "len")),
+    "bcast": ("bcast", ("root", "buf", "len")),
+    "allreduce": ("allreduce", ("buf", "len", "op")),
 }
 
 _STMT_KEYWORDS = frozenset(
@@ -199,15 +200,15 @@ class _ProgramParser(BaseParser):
     def program(self) -> Program:
         params: list[str] = []
         body: list[Stmt] = []
-        while self.peek() == "param":
+        while self.texts[self.i] == "param":
             at = self.i
             self.i += 1
             name = self._decl_name()
             if name in params:
                 raise ParseError(self.pos(at), f"duplicate parameter '{name}'")
             params.append(name)
-        while self.peek():
-            body.append(self.statement(top=True))
+        while self.texts[self.i]:
+            body.append(self.statement(True))
         prog = Program(tuple(params), tuple(body))
         self._validate(prog)
         return prog
@@ -222,10 +223,39 @@ class _ProgramParser(BaseParser):
         return name
 
     def statement(self, top: bool) -> Stmt:
-        word = self.peek()
+        texts = self.texts
+        at = self.i
+        word = texts[at]
+        pos = pos_at(self.line_starts, self.offsets[at])
+        comm = _COMM_WORDS.get(word)
+        if comm is not None:
+            kind, keys = comm
+            values = []
+            i = at + 1
+            for key in keys:
+                if texts[i] != key:
+                    self.fail(f"'{key}'", at=i)
+                if texts[i + 1] != "=":
+                    self.fail("'='", at=i + 1)
+                if key == "buf" or key == "op":
+                    if not texts[i + 2].isidentifier():
+                        self.fail("an identifier", at=i + 2)
+                    values.append(texts[i + 2])
+                    i += 3
+                else:
+                    self.i = i + 2
+                    values.append(self.parse_expr())
+                    i = self.i
+            self.i = i
+            if kind != "allreduce":
+                who, buf, length = values
+                return CommStmt(kind, who, buf, length, None, pos=pos)
+            buf, length, name = values
+            if name not in _OP_NAMES:
+                raise ParseError(self.pos(i - 1), "reduce op must be MAX, MIN, or SUM")
+            return CommStmt(kind, None, buf, length, _OP_NAMES[name], pos=pos)
         if not word.isidentifier():
             self.fail("a statement")
-        pos = self.pos()
         if word in ("param", "init", "finalize") and not top:
             raise ParseError(pos, f"'{word}' is only allowed at top level")
         if word == "param":
@@ -255,13 +285,6 @@ class _ProgramParser(BaseParser):
             capacity = self.parse_expr()
             self.expect("]")
             return BufferDecl(name, elem, capacity, pos=pos)
-        if word in _COMM_WORDS:
-            kind, who_key = _COMM_WORDS[word]
-            who = self._kv_expr(who_key) if who_key else None
-            buf = self._kv_name("buf")
-            length = self._kv_expr("len")
-            op = self._kv_op() if kind == "allreduce" else None
-            return CommStmt(kind, who, buf, length, op, pos=pos)
         if word == "collloop":
             return CollLoop(self.block(), pos=pos)
         if word == "collchoice":
@@ -280,36 +303,21 @@ class _ProgramParser(BaseParser):
         raise ParseError(pos, f"unknown statement '{word}'")
 
     def block(self) -> tuple[Stmt, ...]:
+        # No parse goes on after an error inside a block, so the depth
+        # need not be restored on the way out of one.
         self._enter()
-        try:
-            self.expect("{")
-            stmts: list[Stmt] = []
-            while not self.eat("}"):
-                if not self.peek():
-                    self.fail("'}'")
-                stmts.append(self.statement(top=False))
-            return tuple(stmts)
-        finally:
-            self._exit()
-
-    def _kv_expr(self, key: str) -> Expr:
-        self.expect(key)
-        self.expect("=")
-        return self.parse_expr()
-
-    def _kv_name(self, key: str) -> str:
-        self.expect(key)
-        self.expect("=")
-        return self.texts[self.expect_ident()]
-
-    def _kv_op(self) -> ReduceOp:
-        self.expect("op")
-        self.expect("=")
-        at = self.expect_ident()
-        op = _OP_NAMES.get(self.texts[at])
-        if op is None:
-            raise ParseError(self.pos(at), "reduce op must be MAX, MIN, or SUM")
-        return op
+        texts = self.texts
+        if texts[self.i] != "{":
+            self.fail("'{'")
+        self.i += 1
+        stmts: list[Stmt] = []
+        while (word := texts[self.i]) != "}":
+            if not word:
+                self.fail("'}'")
+            stmts.append(self.statement(False))
+        self.i += 1
+        self._exit()
+        return tuple(stmts)
 
     # -- structural rules --
 

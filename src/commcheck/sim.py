@@ -219,10 +219,16 @@ class _Automaton:
         self.sends[sender][i] = entry
         return entry
 
-    def successors(self, state: State) -> list[tuple[Step, State]]:
+    def successors(self, state: State, por: bool = False) -> list[tuple[Step, State]]:
         """Every enabled step with the state it leads to, in a fixed
         deterministic order: the collective (if any), then p2p pairs by
-        sender rank, then the decision, enter before skip."""
+        sender rank, then the decision, enter before skip.
+
+        With `por`, the first enabled p2p pair alone where there is one.
+        Point-to-point steps touch disjoint rank pairs and stay enabled
+        until taken, so one of them stands for all in a search for stuck
+        states; no collective or decision is enabled beside one, as both
+        need every rank at its head."""
         rows = [self.rows[i] or self._row(i) for i in state]
         heads = [row[0] for row in rows]
         out: list[tuple[Step, State]] = []
@@ -241,6 +247,8 @@ class _Automaton:
                 nxt = list(state)
                 nxt[sender] = rows[sender][1]
                 nxt[receiver] = rows[receiver][1]
+                if por:
+                    return [(step, tuple(nxt))]
                 out.append((step, tuple(nxt)))
 
         if first in _DECISIONS and all(h == first for h in heads):
@@ -295,15 +303,10 @@ def _explore(
             seen.add(key)
             state, ctl = key
             succs = []
-            for step, nxt in automaton.successors(state):
+            for step, nxt in automaton.successors(state, por):
                 nxt_ctl = decide(ctl, state, step) if isinstance(step, DecisionStep) else ctl
                 if nxt_ctl is not None:
                     succs.append((step, (nxt, nxt_ctl)))
-            if por and any(isinstance(s, P2PStep) for s, _ in succs):
-                # Point-to-point steps touch disjoint rank pairs and stay
-                # enabled until taken, so exploring one representative per
-                # state preserves reachability of stuck states.
-                succs = [next(s for s in succs if isinstance(s[0], P2PStep))]
             path.append((via, iter(succs)))
             rows = automaton.rows
             if not succs and any(rows[i][0] is not None for i in state):

@@ -106,7 +106,9 @@ def test_param_value_reads_as_an_integer_literal(ring, capsys):
 @pytest.mark.parametrize("kind", ["int", "nat", "{x:int|x>0}"])
 @pytest.mark.parametrize("command", ["validate", "simulate"])
 @pytest.mark.parametrize(
-    "value", ["99999999999999999999", "9223372036854775808", "-9223372036854775809"]
+    "value",
+    ["99999999999999999999", "9223372036854775808", "-9223372036854775809"]
+    + [pytest.param("9" * 640, id="640-digits")],
 )
 def test_a_param_outside_the_64_bit_range_is_an_eval_error(tmp_path, capsys, kind, command, value):
     cty = tmp_path / "k.cty"
@@ -368,6 +370,14 @@ def test_simulate_searches_both_choice_branches_at_loop_bound_zero(tmp_path, cap
         (flag, value, f"invalid int value: {value!r}")
         for flag in ("--state-limit", "--max-loop-iters")
         for value in ("1_0", " 2", "\u0663", "0x9", "many")
+    ]
+    + [
+        pytest.param(
+            flag, "9" * digits, f"N must have at most 640 digits, got {digits}",
+            id=f"{flag}-{digits}-digits",
+        )
+        for flag in ("--state-limit", "--max-loop-iters")
+        for digits in (641, 5000)
     ],
 )
 def test_simulate_rejects_a_bad_integer_flag(tmp_path, capsys, flag, value, message):
@@ -583,11 +593,40 @@ _MALFORMED = Path(__file__).parent / "malformed"
         ("reserved_param.cty", "1:4: 'loop' is reserved"),
         ("reserved_keyword.mmp", "1:8: 'send' is reserved"),
         ("reserved_predefined.mmp", "1:7: 'me' is predefined and cannot be declared"),
+    ]
+    + [
+        # past the 4,300 digits `int` converts by default
+        pytest.param(name, f"{at}: integer literal {'9' * 5000} out of range", id=name)
+        for name, at in (
+            ("int_5000_digits.cty", "2:21"),
+            ("int_5000_digits.clt", "1:16"),
+            ("int_5000_digits.mmp", "3:23"),
+        )
     ],
 )
 def test_syntax_error_line_for_each_malformed_file(ring, capsys, name, message):
     text = (_MALFORMED / name).read_text()
     test_syntax_error_line_for_every_atom_and_statement_kind(ring, capsys, name, text, message)
+
+
+@pytest.mark.parametrize("sign", ["", "+", "-"])
+@pytest.mark.parametrize("digits", [641, 5000])
+def test_a_param_of_too_many_digits_is_a_usage_error(ring, capsys, sign, digits):
+    value = sign + "9" * digits
+    for argv in (["--param", f"size={value}"], ["--manifest", str(ring / "params.txt")]):
+        (ring / "params.txt").write_text(f"size = {value}\n")
+        code, out, err = run(capsys, "validate", str(ring / "ring.cty"), *argv)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == f"error: parameter 'size' has {digits} digits, past the 64-bit range\n"
+
+
+def test_leading_zeros_are_not_digits_of_an_integer_flag(ring, capsys):
+    zeros = "0" * 5000
+    code, out, _ = run(
+        capsys, "simulate", str(ring / "ring.cty"), "--param", f"size={zeros}9",
+        "--state-limit", f"{zeros}5", "--max-loop-iters", f"{zeros}1",
+    )
+    assert (code, out) == (EXIT_FAIL, "verdict: state-space-exceeded (limit 5, 5 states explored)\n")
 
 
 def test_an_internal_error_exits_2_with_one_line(ring, capsys, monkeypatch):

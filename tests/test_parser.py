@@ -127,6 +127,8 @@ def _program_with(stmt: str) -> str:
         ("(n)", Var("n")),
         ("(" * 198 + "1" + ")" * 198, Lit(1)),
         ("9223372036854775807", Lit(9223372036854775807)),
+        # leading zeros past the 4,300 digits `int` converts by default
+        pytest.param("0" * 5000 + "9", Lit(9), id="zeros-then-9"),
     ],
 )
 def test_operand_edges_parse_to_the_grammar_tree(length, want):
