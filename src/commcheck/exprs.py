@@ -60,17 +60,17 @@ class KindMismatch(ExprError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Lit:
     value: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Var:
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BinOp:
     op: str  # one of + - * / %
     lhs: Expr
@@ -143,26 +143,26 @@ def expr_vars(e: Expr) -> set[str]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Cmp:
     op: str  # one of == != < <= > >=
     lhs: Expr
     rhs: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class And:
     lhs: Pred
     rhs: Pred
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Or:
     lhs: Pred
     rhs: Pred
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Not:
     arg: Pred
 
@@ -202,22 +202,22 @@ def eval_pred(p: Pred, env: Env) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IntKind:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NatKind:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FloatKind:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Refinement:
     """A bound variable and a predicate over it (plus enclosing parameters)."""
 
@@ -225,13 +225,13 @@ class Refinement:
     pred: Pred
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RefinedKind:
     base: Kind
     refinement: Refinement
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ArrayKind:
     elem: Kind
     length: Expr

@@ -8,9 +8,11 @@ token, the empty text at the end. Comments are then dropped. Skipped
 text may hold ASCII whitespace only: its first other character is the
 first character outside the alphabet.
 
-The result is a read-only sequence over flat lists: the token texts,
+The result is a read-only sequence over flat sequences: the token texts,
 their offsets and the text's line starts, found once per call. The
-parsers read the lists and treat a token as its index. A `Token` is
+offsets are one `array('q')` of machine integers, taken from every
+other running sum as it is made, so no list of boxed ints is built. The
+parsers read them by index and treat a token as its index. A `Token` is
 built only when the sequence is indexed or iterated, and a `Pos` only
 when a position is read, by bisection over the line starts (`pos_at`).
 A token's kind follows from its text, as identifiers, integers,
@@ -20,9 +22,10 @@ punctuation and the eof text "" never coincide.
 from __future__ import annotations
 
 import re
+from array import array
 from bisect import bisect_right
 from collections.abc import Sequence
-from itertools import accumulate, compress
+from itertools import accumulate, compress, islice
 
 from .exprs import Pos
 
@@ -66,12 +69,12 @@ def pos_at(line_starts: list[int], offset: int) -> Pos:
 
 
 class Tokens(Sequence):
-    """The tokens of one text, as parallel lists of texts and offsets; a
-    token's kind follows from its text."""
+    """The tokens of one text, as a list of texts and a parallel array of
+    offsets; a token's kind follows from its text."""
 
     __slots__ = ("texts", "offsets", "line_starts")
 
-    def __init__(self, texts: list[str], offsets: list[int], line_starts: list[int]):
+    def __init__(self, texts: list[str], offsets: array, line_starts: list[int]):
         self.texts = texts
         self.offsets = offsets
         self.line_starts = line_starts
@@ -110,7 +113,7 @@ def tokenize(text: str) -> Tokens:
     # running sums of their lengths end gap k at the offset of token k,
     # and the last gap at the end of the text, the eof token's offset.
     parts = _TOKEN.split(text)
-    offsets = list(accumulate(map(len, parts)))[::2]
+    offsets = array("q", islice(accumulate(map(len, parts)), 0, None, 2))
     gaps = parts[::2]
     if "".join(gaps).strip(_SPACE):
         k = next(k for k, gap in enumerate(gaps) if gap.strip(_SPACE))
@@ -121,5 +124,5 @@ def tokenize(text: str) -> Tokens:
     if "//" in text:  # drop the comments
         keep = [t[:2] != "//" for t in texts]
         texts = list(compress(texts, keep))
-        offsets = list(compress(offsets, keep))
+        offsets = array("q", compress(offsets, keep))
     return Tokens(texts, offsets, line_starts)

@@ -7,7 +7,7 @@ every input either yields a tree or raises ParseError with a position
 and the expected-token set. A nesting-depth cap keeps degenerate inputs
 from exhausting the interpreter stack.
 
-The parsers read the tokenizer's flat lists: a token is its index, its
+The parsers read the tokenizer's flat sequences: a token is its index, its
 kind is told by its text, and a `Pos` is built only for a position that
 is stored or reported. The productions every atom and statement takes
 (an atom, the spine, a program's communication statement and block)

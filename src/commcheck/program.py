@@ -67,41 +67,41 @@ _OP_NAMES = {"MAX": ReduceOp.MAX, "MIN": ReduceOp.MIN, "SUM": ReduceOp.SUM}
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Init:
     pos: Pos | None = field(default=None, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CommSize:
     pos: Pos | None = field(default=None, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CommRank:
     pos: Pos | None = field(default=None, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Compute:
     """Local computation; irrelevant to communication checking."""
 
     pos: Pos | None = field(default=None, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Finalize:
     pos: Pos | None = field(default=None, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Let:
     name: str
     value: Expr
     pos: Pos | None = field(default=None, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BufferDecl:
     name: str
     elem: DataKind
@@ -109,7 +109,7 @@ class BufferDecl:
     pos: Pos | None = field(default=None, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CommStmt:
     """A communication statement; it mirrors `Comm`, with the buffer's
     name in place of the data kind and expressions in place of values.
@@ -127,20 +127,20 @@ class CommStmt:
     pos: Pos | None = field(default=None, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CollLoop:
     body: tuple[Stmt, ...]
     pos: Pos | None = field(default=None, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CollChoice:
     then_body: tuple[Stmt, ...]
     else_body: tuple[Stmt, ...]
     pos: Pos | None = field(default=None, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RankIf:
     """Rank-local branch; the guard must evaluate concretely per rank."""
 
@@ -165,7 +165,7 @@ Stmt = Union[
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Program:
     params: tuple[str, ...]
     body: tuple[Stmt, ...]

@@ -39,7 +39,7 @@ from .terms import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProjectionResult:
     """Local views of one protocol instantiation, indexed by rank."""
 

@@ -83,7 +83,7 @@ def loop_tape(iterations: int, *choices: bool) -> tuple[bool, ...]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class P2PStep:
     sender: int
     receiver: int
@@ -91,7 +91,7 @@ class P2PStep:
     count: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DecisionStep:
     kind: str  # loop | choice
     enter: bool  # loop: run body again; choice: first branch
@@ -101,26 +101,26 @@ class DecisionStep:
 Step = Union[P2PStep, Comm, DecisionStep]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SimState:
     """Residual local types per rank."""
 
     residues: tuple[LocalType, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AllDone:
     states_explored: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Deadlock:
     blocked: tuple[str, ...]
     trail: tuple[Step, ...]
     state: SimState
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StateSpaceExceeded:
     limit: int
     states_explored: int

@@ -4,8 +4,10 @@ Global and local types share the same term constructors (prefix, loop,
 choice, end); they differ only in which atoms may appear at a prefix.
 A global type speaks of messages between two ranks, a local type of
 sends and receives as seen by one rank. Collective atoms occur on both
-sides unchanged. Nodes are frozen dataclasses whose `==`, hash and
-`repr` come from one base class, `_Node`: equality is structural, and
+sides unchanged. Every record is a frozen dataclass with `__slots__`
+and no instance dict. The nodes' `==`, hash and `repr` come from one
+base class, `_Node`, which adds one more slot for the cached hash:
+equality is structural, and
 source positions never take part in comparisons. Every walk
 along a term's continuation spine is a loop over `spine` and `rebuild`;
 only loop bodies and choice branches, whose depth the parser bounds,
@@ -47,7 +49,7 @@ class ReduceOp(enum.Enum):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Message:
     """Point-to-point transfer, global view: src sends, dst receives."""
 
@@ -58,7 +60,7 @@ class Message:
     pos: Pos | None = field(default=None, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Send:
     peer: Expr
     dtype: DataKind
@@ -66,7 +68,7 @@ class Send:
     pos: Pos | None = field(default=None, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Receive:
     peer: Expr
     dtype: DataKind
@@ -74,7 +76,7 @@ class Receive:
     pos: Pos | None = field(default=None, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Scatter:
     root: Expr
     dtype: DataKind
@@ -82,7 +84,7 @@ class Scatter:
     pos: Pos | None = field(default=None, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Gather:
     root: Expr
     dtype: DataKind
@@ -90,7 +92,7 @@ class Gather:
     pos: Pos | None = field(default=None, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Bcast:
     root: Expr
     dtype: DataKind
@@ -98,7 +100,7 @@ class Bcast:
     pos: Pos | None = field(default=None, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Allreduce:
     dtype: DataKind
     length: Expr
@@ -193,7 +195,7 @@ def atom_of(c: Comm) -> LocalAtom:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class End:
     pass
 
@@ -201,23 +203,26 @@ class End:
 class _Node:
     """A prefix, loop or choice node, with `cont` as its last field. Its
     hash is computed on the first `hash()`, down the spine in one loop and
-    then filled in from the tail up, and kept; `==` and `repr` walk the
-    spine in one loop too. The node classes are dataclasses declared with
+    then filled in from the tail up, and kept in the `_hash` slot, which
+    stays empty until then; `==` and `repr` walk the spine in one loop
+    too. The node classes are slotted dataclasses declared with
     `eq=False, repr=False`, so they inherit these three methods instead of
-    generating their own."""
+    generating their own, and no node has an instance dict."""
 
+    __slots__ = ("_hash",)  # per node: its hash, once computed
     _values = None  # per node class: an attrgetter of its fields, in order
-    _hash = None  # per node: its hash, once computed
 
     def __hash__(self):
-        if self._hash is None:
+        h = getattr(self, "_hash", None)
+        if h is None:
             pending, t = [], self
-            while isinstance(t, _Node) and t._hash is None:
+            while isinstance(t, _Node) and getattr(t, "_hash", None) is None:
                 pending.append(t)
                 t = t.cont
             for t in reversed(pending):
                 object.__setattr__(t, "_hash", hash(t._values(t)))
-        return self._hash
+            h = self._hash
+        return h
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -254,13 +259,13 @@ class _Node:
         return type(self), self._values(self)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class Prefix(_Node):
     atom: Atom
     cont: TypeTerm
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class Loop(_Node):
     """Collectively decided repetition of `body`, then `cont`.
 
@@ -272,7 +277,7 @@ class Loop(_Node):
     cont: TypeTerm
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class Choice(_Node):
     """Collectively decided branch, then `cont` either way."""
 
@@ -292,7 +297,7 @@ GlobalType = TypeTerm
 LocalType = TypeTerm
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ParamBinder:
     """Top-level protocol parameter with its (possibly refined) kind."""
 
@@ -301,7 +306,7 @@ class ParamBinder:
     pos: Pos | None = field(default=None, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Protocol:
     params: tuple[ParamBinder, ...]
     num_procs: int
@@ -367,30 +372,35 @@ def concat(t: TypeTerm, rest: TypeTerm) -> TypeTerm:
 def ground_atom(a: Atom, env: Env) -> Atom:
     """Evaluate every expression argument of `a` to a literal. A literal
     argument is still evaluated, for its range check, and then kept:
-    `Lit` is frozen, so the grounded atom may share it."""
-    args = []
+    `Lit` is frozen, so the grounded atom may share it, and an atom whose
+    arguments are all literals or labels is returned itself."""
+    args, changed = [], False
     for x in atom_args(a):
         if not isinstance(x, LABELS):
             value = eval_expr(x, env)
             if type(x) is not Lit:
-                x = Lit(value)
+                x, changed = Lit(value), True
         args.append(x)
-    return type(a)(*args, pos=a.pos)
+    return type(a)(*args, pos=a.pos) if changed else a
 
 
 def ground_term(t: TypeTerm, env: Env) -> TypeTerm:
-    """Evaluate every expression in `t` to a literal."""
-    heads = []
-    for node in spine(t):
+    """Evaluate every expression in `t` to a literal. The nodes after the
+    last one whose head grounding changed are shared with `t`, so a
+    ground `t` is returned itself."""
+    nodes, heads, last = spine(t), [], -1
+    for i, node in enumerate(nodes):
         if isinstance(node, Prefix):
-            heads.append((Prefix, ground_atom(node.atom, env)))
+            head = (Prefix, ground_atom(node.atom, env))
         elif isinstance(node, Loop):
-            heads.append((Loop, ground_term(node.body, env)))
+            head = (Loop, ground_term(node.body, env))
         else:
-            heads.append(
-                (Choice, ground_term(node.true_branch, env), ground_term(node.false_branch, env))
-            )
-    return rebuild(heads)
+            branches = ground_term(node.true_branch, env), ground_term(node.false_branch, env)
+            head = (Choice, *branches)
+        if any(x is not y for x, y in zip(head[1:], node._values(node))):
+            last = i
+        heads.append(head)
+    return rebuild(heads[: last + 1], nodes[last].cont) if last >= 0 else t
 
 
 def is_ground(t: TypeTerm) -> bool:

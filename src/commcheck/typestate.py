@@ -29,7 +29,7 @@ from .terms import (
 from .printer import format_atom
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BufferFacts:
     """What the checker knows about the buffer an action reads or writes."""
 

@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import KW_ONLY, dataclass, field
 
 from .exprs import (
+    INT64_MAX,
+    INT64_MIN,
     Env,
     ExprError,
     KindMismatch,
@@ -37,7 +39,7 @@ MIN_PROCS = 1
 MAX_PROCS = 32768
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Diagnostic:
     """One finding of `check_wf` or of the checker: a protocol finding
     names the `path` of the term it concerns, a program finding the
@@ -93,10 +95,10 @@ def check_wf(protocol: Protocol, inst: Env) -> WfReport:
         )
 
     env: Env = {}
-    missing = False
+    unusable = False  # some parameter is missing or outside the 64-bit range
     for binder in protocol.params:
         if binder.name not in inst:
-            missing = True
+            unusable = True
             report.diagnostics.append(
                 Diagnostic(
                     "missing-parameter",
@@ -130,6 +132,8 @@ def check_wf(protocol: Protocol, inst: Env) -> WfReport:
             report.diagnostics.append(
                 Diagnostic("eval-error", str(err), binder.pos, path=f"param {binder.name}")
             )
+            # The error may come from the refinement's predicate instead.
+            unusable = unusable or not INT64_MIN <= value <= INT64_MAX
         # Bind even a bad value so later parameters still get checked.
         env[binder.name] = value
 
@@ -143,9 +147,10 @@ def check_wf(protocol: Protocol, inst: Env) -> WfReport:
             )
         )
 
-    # With a parameter missing every use of it would fail identically, so
-    # the body walk would only repeat the root cause back as noise.
-    if not missing:
+    # With a parameter missing or out of range every use of it would fail
+    # identically, so the body walk would only repeat the root cause back
+    # as noise.
+    if not unusable:
         _walk(protocol.body, "body", env, protocol.num_procs, report)
     return report
 

@@ -10,15 +10,20 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
+import pytest
+
 import commcheck
-from commcheck.exprs import BinOp, Lit, Var
+from commcheck.exprs import BinOp, IntegerOverflow, Lit, Var
 from commcheck.parser import parse_local_term, parse_protocol
+from commcheck.printer import format_term
 from commcheck.projection import project_all
 from commcheck.terms import (
     Choice,
+    DataKind,
     End,
     Loop,
     Prefix,
+    Send,
     atoms_of,
     concat,
     ground_term,
@@ -27,6 +32,7 @@ from commcheck.terms import (
     spine,
 )
 
+from conftest import bundled_text
 from proto_gen import random_local_term, random_protocol
 
 
@@ -114,6 +120,25 @@ def test_ground_term_is_idempotent():
         assert is_ground(g)
 
 
+def test_grounding_returns_what_is_already_ground():
+    view = lt(bundled_text("fdiff_rank0.clt").replace("size/3", "3"))
+    assert is_ground(view)
+    assert ground_term(view, {}) is view
+    assert ground_term(view, {"size": 9}) is view
+    # a literal is kept, but still range-checked
+    with pytest.raises(IntegerOverflow):
+        ground_term(Prefix(Send(Lit(1), DataKind.INT, Lit(2**63)), End()), {})
+
+
+def test_grounding_a_view_with_expressions_keeps_its_text():
+    text = bundled_text("fdiff_rank0.clt")
+    view = lt(text)
+    g = ground_term(view, {"size": 9})
+    assert format_term(g) == format_term(lt(text.replace("size/3", "3")))
+    assert g.atom.length == Lit(3)
+    assert g.cont.body is view.cont.body  # the ground loop body is shared
+
+
 def test_expr_structure_does_not_affect_ground_equality():
     a = lt("send(1,MPI_INT,2+2).end")
     b = lt("send(1,MPI_INT,2*2).end")
@@ -139,7 +164,7 @@ def test_node_hash_is_computed_on_first_use():
     lines += [f"message({i % 3},{(i + 1) % 3},MPI_INT,{i % 7})." for i in range(1_000)]
     proto = parse_protocol("\n".join(lines + ["end"]))
     terms = [proto.body, *project_all(proto, {})]
-    assert not any("_hash" in vars(node) for t in terms for node in spine(t))
+    assert not any(hasattr(node, "_hash") for t in terms for node in spine(t))
     for t in terms:
         hash(t)  # one walk down the whole spine, without recursion
         for node in reversed(spine(t)):

@@ -41,6 +41,20 @@ def test_negative_value_fails_nat_layer(fdiff_protocol_text):
     assert set(codes(report)[1:]) == {"negative-length"}
 
 
+@pytest.mark.parametrize("size", [2**63, -(2**63) - 1, 10**20])
+def test_value_outside_the_64_bit_range_is_reported_once(fdiff_protocol_text, size):
+    proto = parse_protocol(fdiff_protocol_text)
+    report = check_wf(proto, {"size": size})
+    # like a missing value, it would fail at every use, so the body is not walked
+    assert [(d.code, d.path) for d in report.diagnostics] == [("eval-error", "param size")]
+
+
+def test_predicate_overflow_of_a_ranged_value_still_walks_the_body():
+    proto = parse_protocol("Pi n: {x:int|x*x>0}.\nnprocs 2.\nmessage(0,1,MPI_INT,n-n-1).end")
+    report = check_wf(proto, {"n": 2**62})
+    assert codes(report) == ["eval-error", "negative-length"]
+
+
 def test_missing_and_unknown_parameters(fdiff_protocol_text):
     proto = parse_protocol(fdiff_protocol_text)
     assert codes(check_wf(proto, {})) == ["missing-parameter"]
