@@ -24,13 +24,9 @@ from .program import (
     BufferDecl,
     CollChoice,
     CollLoop,
-    CommRank,
-    CommSize,
     CommStmt,
-    Compute,
-    Finalize,
-    Init,
     Let,
+    Marker,
     Program,
     RankIf,
     Stmt,
@@ -182,7 +178,9 @@ def _walk_stmt(stmt: Stmt, t, env: Env, buffers: dict[str, BufferFacts], decisio
             )
         buffers[stmt.name] = BufferFacts(stmt.elem, size)
         return t
-    if isinstance(stmt, (Init, CommSize, CommRank, Compute)):
+    if isinstance(stmt, Marker):
+        if stmt.kind == "finalize":
+            check_finalized(t)
         return t
     if isinstance(stmt, CollLoop):
         decisions.append(("loop", id(stmt)))
@@ -224,9 +222,6 @@ def _walk_stmt(stmt: Stmt, t, env: Env, buffers: dict[str, BufferFacts], decisio
                     stmt.pos,
                 )
         return t.cont
-    if isinstance(stmt, Finalize):
-        check_finalized(t)
-        return t
     raise TypeError(f"not a statement: {stmt!r}")
 
 
@@ -269,7 +264,7 @@ def _erase(stmts, scope: Env, buffers, tape: Sequence[bool], taken: int, out: li
             scope[stmt.name] = eval_expr(stmt.value, scope)
         elif isinstance(stmt, BufferDecl):
             buffers[stmt.name] = stmt.elem
-        elif isinstance(stmt, (Init, CommSize, CommRank, Compute, Finalize)):
+        elif isinstance(stmt, Marker):
             pass
         elif isinstance(stmt, CollLoop):
             while _tape_entry(tape, taken):

@@ -23,8 +23,6 @@ significant digits is out of range by its length alone.
 
 from __future__ import annotations
 
-from typing import get_args
-
 from .exprs import (
     ArrayKind,
     BinOp,
@@ -47,13 +45,10 @@ from .exprs import (
 )
 from .lexer import ParseError, pos_at, tokenize
 from .terms import (
-    ATOM_FIELDS,
-    ATOM_NAMES,
+    COLLECTIVES,
     Atom,
     Choice,
     DataKind,
-    GlobalAtom,
-    LocalAtom,
     LocalType,
     Loop,
     ParamBinder,
@@ -70,18 +65,19 @@ _BASE_KINDS = {"int": INT, "nat": NAT, "float": FLOAT}
 _DTYPES = {k.value: k for k in DataKind}
 _REDUCE_OPS = {o.value: o for o in ReduceOp}
 
+# The atom kinds each side may write, in the order a syntax error lists
+# them. Each maps to itself, so that an atom holds the one interned string
+# of its kind, not the token's copy.
+_GLOBAL_KINDS = {kind: kind for kind in ("message", *COLLECTIVES)}
+_LOCAL_KINDS = {kind: kind for kind in ("send", "receive", *COLLECTIVES)}
+
 _KEYWORDS = frozenset(
     {"Pi", "nprocs", "end", "loop", "choice", "int", "nat", "float"}
-    | set(ATOM_NAMES.values())
+    | _GLOBAL_KINDS.keys()
+    | _LOCAL_KINDS.keys()
     | set(_DTYPES)
     | set(_REDUCE_OPS)
 )
-
-# The atoms each side may write, by name, in the order of their union.
-_GLOBAL_ATOMS = {ATOM_NAMES[cls]: cls for cls in get_args(GlobalAtom)}
-_LOCAL_ATOMS = {ATOM_NAMES[cls]: cls for cls in get_args(LocalAtom)}
-# The labels an atom's argument is written with; any other is an expression.
-_LABELS = {"dtype": _DTYPES, "op": _REDUCE_OPS}
 
 _CMP_OPS = ("==", "!=", "<=", ">=", "<", ">")
 _ARITH = frozenset("+-*/%")
@@ -368,36 +364,43 @@ class _ProtocolParser(BaseParser):
             self._exit()
 
     def parse_atom(self, local: bool) -> Atom:
-        names = _LOCAL_ATOMS if local else _GLOBAL_ATOMS
+        kinds = _LOCAL_KINDS if local else _GLOBAL_KINDS
         texts = self.texts
         at = self.i
-        cls = names.get(texts[at])
-        if cls is None:
-            self.fail("'end'", "'loop'", "'choice'", *(f"'{n}'" for n in names))
+        kind = kinds.get(texts[at])
+        if kind is None:
+            self.fail("'end'", "'loop'", "'choice'", *(f"'{n}'" for n in kinds))
         if texts[at + 1] != "(":
             self.fail("'('", at=at + 1)
-        i = at + 2
-        args = []
-        for name in ATOM_FIELDS[cls]:
-            if args:
-                if texts[i] != ",":
-                    self.fail("','", at=i)
-                i += 1
-            labels = _LABELS.get(name)
-            if labels is None:
-                self.i = i
-                args.append(self.parse_expr())
-                i = self.i
-            else:
-                label = labels.get(texts[i])
-                if label is None:
-                    self.fail(*(f"'{n}'" for n in labels), at=i)
-                args.append(label)
-                i += 1
+        # The rank expressions, the dtype, the length, and an allreduce's op.
+        who = []
+        self.i = at + 2
+        for _ in range(0 if kind == "allreduce" else 2 if kind == "message" else 1):
+            who.append(self.parse_expr())
+            if texts[self.i] != ",":
+                self.fail("','")
+            self.i += 1
+        i = self.i
+        dtype = _DTYPES.get(texts[i])
+        if dtype is None:
+            self.fail(*(f"'{n}'" for n in _DTYPES), at=i)
+        if texts[i + 1] != ",":
+            self.fail("','", at=i + 1)
+        self.i = i + 2
+        length = self.parse_expr()
+        i = self.i
+        op = None
+        if kind == "allreduce":
+            if texts[i] != ",":
+                self.fail("','", at=i)
+            op = _REDUCE_OPS.get(texts[i + 1])
+            if op is None:
+                self.fail(*(f"'{n}'" for n in _REDUCE_OPS), at=i + 1)
+            i += 2
         if texts[i] != ")":
             self.fail("')'", at=i)
         self.i = i + 1
-        return cls(*args, pos=pos_at(self.line_starts, self.offsets[at]))
+        return Atom(kind, tuple(who), dtype, length, op, pos_at(self.line_starts, self.offsets[at]))
 
 
 def parse_protocol(text: str) -> Protocol:

@@ -24,17 +24,7 @@ from .exprs import (
     RefinedKind,
     Var,
 )
-from .terms import (
-    ATOM_NAMES,
-    LABELS,
-    Atom,
-    Loop,
-    Prefix,
-    Protocol,
-    TypeTerm,
-    atom_args,
-    spine,
-)
+from .terms import Atom, Loop, Prefix, Protocol, TypeTerm, spine
 
 _EXPR_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "%": 2}
 
@@ -114,8 +104,10 @@ def format_kind(k: Kind) -> str:
 
 
 def format_atom(a: Atom) -> str:
-    args = [x.value if isinstance(x, LABELS) else format_expr(x) for x in atom_args(a)]
-    return f"{ATOM_NAMES[type(a)]}({','.join(args)})"
+    args = [*map(format_expr, a.who), a.dtype.value, format_expr(a.length)]
+    if a.op is not None:
+        args.append(a.op.value)
+    return f"{a.kind}({','.join(args)})"
 
 
 def format_term(t: TypeTerm, indent: int = 0) -> str:

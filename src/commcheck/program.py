@@ -3,7 +3,9 @@
 One program text runs on every rank. Communication statements name a
 declared buffer. All six are one `CommStmt`, which mirrors `Comm`: its
 kind, the peer or root, the buffer, the length and, for an allreduce,
-the reduce op. Collective loops and choices are written as explicit
+the reduce op. The five statements that communicate nothing (`init`,
+`commsize`, `commrank`, `compute` and `finalize`) are one `Marker`,
+named by its word. Collective loops and choices are written as explicit
 blocks (`collloop`, `collchoice`) because their decisions are taken by
 all ranks together, while `rankif` branches on rank-locally computable
 guards. The identifiers `me` and `np` are predefined (own rank and
@@ -38,16 +40,14 @@ _COMM_WORDS = {
     "allreduce": ("allreduce", ("buf", "len", "op")),
 }
 
+_MARKERS = frozenset({"init", "commsize", "commrank", "compute", "finalize"})
+
 _STMT_KEYWORDS = frozenset(
     {
         "param",
         "buffer",
         "let",
-        "init",
-        "commsize",
-        "commrank",
-        "compute",
-        "finalize",
+        *_MARKERS,
         *_COMM_WORDS,
         "collloop",
         "collchoice",
@@ -68,29 +68,11 @@ _OP_NAMES = {"MAX": ReduceOp.MAX, "MIN": ReduceOp.MIN, "SUM": ReduceOp.SUM}
 
 
 @dataclass(frozen=True, slots=True)
-class Init:
-    pos: Pos | None = field(default=None, compare=False, repr=False)
+class Marker:
+    """A statement that communicates nothing, named by its word: `init`,
+    `commsize`, `commrank`, `compute` (local computation) or `finalize`."""
 
-
-@dataclass(frozen=True, slots=True)
-class CommSize:
-    pos: Pos | None = field(default=None, compare=False, repr=False)
-
-
-@dataclass(frozen=True, slots=True)
-class CommRank:
-    pos: Pos | None = field(default=None, compare=False, repr=False)
-
-
-@dataclass(frozen=True, slots=True)
-class Compute:
-    """Local computation; irrelevant to communication checking."""
-
-    pos: Pos | None = field(default=None, compare=False, repr=False)
-
-
-@dataclass(frozen=True, slots=True)
-class Finalize:
+    kind: str  # init | commsize | commrank | compute | finalize
     pos: Pos | None = field(default=None, compare=False, repr=False)
 
 
@@ -150,19 +132,7 @@ class RankIf:
     pos: Pos | None = field(default=None, compare=False, repr=False)
 
 
-Stmt = Union[
-    Init,
-    CommSize,
-    CommRank,
-    Compute,
-    Finalize,
-    Let,
-    BufferDecl,
-    CommStmt,
-    CollLoop,
-    CollChoice,
-    RankIf,
-]
+Stmt = Union[Marker, Let, BufferDecl, CommStmt, CollLoop, CollChoice, RankIf]
 
 
 @dataclass(frozen=True, slots=True)
@@ -261,16 +231,8 @@ class _ProgramParser(BaseParser):
         if word == "param":
             raise ParseError(pos, "'param' declarations must precede all statements")
         self.i += 1
-        if word == "init":
-            return Init(pos=pos)
-        if word == "commsize":
-            return CommSize(pos=pos)
-        if word == "commrank":
-            return CommRank(pos=pos)
-        if word == "compute":
-            return Compute(pos=pos)
-        if word == "finalize":
-            return Finalize(pos=pos)
+        if word in _MARKERS:
+            return Marker(word, pos=pos)
         if word == "let":
             name = self._decl_name()
             self.expect("=")
@@ -322,12 +284,17 @@ class _ProgramParser(BaseParser):
     # -- structural rules --
 
     def _validate(self, prog: Program) -> None:
-        before_init = (Let, BufferDecl, Compute)
-        inits = [s for s in prog.body if isinstance(s, Init)]
-        finals = [s for s in prog.body if isinstance(s, Finalize)]
+        def marks(s: Stmt, kind: str) -> bool:
+            return isinstance(s, Marker) and s.kind == kind
+
+        def before_init(s: Stmt) -> bool:
+            return isinstance(s, (Let, BufferDecl)) or marks(s, "compute")
+
+        inits = [s for s in prog.body if marks(s, "init")]
+        finals = [s for s in prog.body if marks(s, "finalize")]
         if not inits:
             # At the first statement that needs an 'init' before it.
-            needs = (s.pos for s in prog.body if not isinstance(s, before_init))
+            needs = (s.pos for s in prog.body if not before_init(s))
             raise ParseError(next(needs, None) or self.pos(), "program must contain 'init'")
         if len(inits) > 1:
             raise ParseError(inits[1].pos, "duplicate 'init'")
@@ -335,11 +302,11 @@ class _ProgramParser(BaseParser):
             raise ParseError(self.pos(), "program must contain 'finalize'")
         if len(finals) > 1:
             raise ParseError(finals[1].pos, "duplicate 'finalize'")
-        if not isinstance(prog.body[-1], Finalize):
+        if not marks(prog.body[-1], "finalize"):
             raise ParseError(finals[0].pos, "'finalize' must be the last statement")
         init_at = prog.body.index(inits[0])
         for s in prog.body[:init_at]:
-            if not isinstance(s, before_init):
+            if not before_init(s):
                 raise ParseError(s.pos, "communication before 'init'")
         seen: set[str] = set(prog.params)
         for decl in prog.buffers:

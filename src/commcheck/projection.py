@@ -24,14 +24,12 @@ from dataclasses import dataclass
 
 from .exprs import Env, Lit, eval_expr
 from .terms import (
+    Atom,
     Choice,
     LocalType,
     Loop,
-    Message,
     Prefix,
     Protocol,
-    Receive,
-    Send,
     TypeTerm,
     ground_atom,
     rebuild,
@@ -80,8 +78,8 @@ def _project(t: TypeTerm, env: Env, lo: int, hi: int) -> list[TypeTerm]:
     for node in spine(t):
         if isinstance(node, Prefix):
             atom = node.atom
-            if isinstance(atom, Message):
-                src, dst, length = atom.src, atom.dst, atom.length
+            if atom.kind == "message":
+                (src, dst), length = atom.who, atom.length
                 source = eval_expr(src, env)
                 destination = eval_expr(dst, env)
                 sends = lo <= source < hi
@@ -91,10 +89,11 @@ def _project(t: TypeTerm, env: Env, lo: int, hi: int) -> list[TypeTerm]:
                     count = length if type(length) is Lit else Lit(value)
                 if sends:
                     peer = dst if type(dst) is Lit else Lit(destination)
-                    kept[source - lo].append((Prefix, Send(peer, atom.dtype, count, pos=atom.pos)))
+                    send = Atom("send", (peer,), atom.dtype, count, None, atom.pos)
+                    kept[source - lo].append((Prefix, send))
                 if receives:
                     peer = src if type(src) is Lit else Lit(source)
-                    receive = Receive(peer, atom.dtype, count, pos=atom.pos)
+                    receive = Atom("receive", (peer,), atom.dtype, count, None, atom.pos)
                     kept[destination - lo].append((Prefix, receive))
             else:
                 head = (Prefix, ground_atom(atom, env))

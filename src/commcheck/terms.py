@@ -16,9 +16,11 @@ projection hash nothing, and the search hashes the views it numbers.
 Walks that run once per node test its class with `isinstance` and read
 fields by name: on CPython 3.11 a `match` class pattern that binds an
 atom's fields costs about ten times as much per node.
-An atom is written as its name in `ATOM_NAMES` followed by its fields
-other than `pos`, in declaration order (`atom_args`); the parser, the
-printer and grounding all work from that one description.
+Every atom is one `Atom` record, whose `kind` is its written name: it is
+written `kind(*who, dtype, length)`, with the op last for an allreduce,
+and the parser, the printer, grounding and projection test the kind.
+`Message`, `Send` and the other five atom names are functions that build
+an `Atom` for callers writing terms by hand.
 A ground local atom denotes a `Comm`, the one record of a concrete
 communication; `comm_of` and `atom_of` convert between the two.
 """
@@ -26,7 +28,7 @@ communication; `comm_of` and `atom_of` convert between the two.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Iterator, NamedTuple, Sequence, Union
 
@@ -50,67 +52,59 @@ class ReduceOp(enum.Enum):
 
 
 @dataclass(frozen=True, slots=True)
-class Message:
-    """Point-to-point transfer, global view: src sends, dst receives."""
+class Atom:
+    """One communication of a protocol or a local view, as written:
+    `kind(*who, dtype, length)`, and the op last for an allreduce.
 
-    src: Expr
-    dst: Expr
+    `who` holds the rank expressions: a message's source and destination,
+    the peer of a send or receive, the root of a scatter, gather or
+    bcast, and none for an allreduce; `op` is set only for an allreduce.
+    """
+
+    kind: str  # message | send | receive | scatter | gather | bcast | allreduce
+    who: tuple[Expr, ...]
     dtype: DataKind
     length: Expr
+    op: ReduceOp | None = None
     pos: Pos | None = field(default=None, compare=False, repr=False)
 
 
-@dataclass(frozen=True, slots=True)
-class Send:
-    peer: Expr
-    dtype: DataKind
-    length: Expr
-    pos: Pos | None = field(default=None, compare=False, repr=False)
+COLLECTIVES = ("scatter", "gather", "bcast", "allreduce")
+"""The kinds both sides write; a global type adds `message`, a local
+type `send` and `receive`."""
 
 
-@dataclass(frozen=True, slots=True)
-class Receive:
-    peer: Expr
-    dtype: DataKind
-    length: Expr
-    pos: Pos | None = field(default=None, compare=False, repr=False)
+# The seven atoms under their written names, for callers that build
+# them by hand. The parser, projection and `atom_of` build `Atom`
+# directly: one more call per atom shows in `project`.
 
 
-@dataclass(frozen=True, slots=True)
-class Scatter:
-    root: Expr
-    dtype: DataKind
-    length: Expr
-    pos: Pos | None = field(default=None, compare=False, repr=False)
+def Message(src: Expr, dst: Expr, dtype: DataKind, length: Expr, pos: Pos | None = None) -> Atom:
+    return Atom("message", (src, dst), dtype, length, None, pos)
 
 
-@dataclass(frozen=True, slots=True)
-class Gather:
-    root: Expr
-    dtype: DataKind
-    length: Expr
-    pos: Pos | None = field(default=None, compare=False, repr=False)
+def Send(peer: Expr, dtype: DataKind, length: Expr, pos: Pos | None = None) -> Atom:
+    return Atom("send", (peer,), dtype, length, None, pos)
 
 
-@dataclass(frozen=True, slots=True)
-class Bcast:
-    root: Expr
-    dtype: DataKind
-    length: Expr
-    pos: Pos | None = field(default=None, compare=False, repr=False)
+def Receive(peer: Expr, dtype: DataKind, length: Expr, pos: Pos | None = None) -> Atom:
+    return Atom("receive", (peer,), dtype, length, None, pos)
 
 
-@dataclass(frozen=True, slots=True)
-class Allreduce:
-    dtype: DataKind
-    length: Expr
-    op: ReduceOp
-    pos: Pos | None = field(default=None, compare=False, repr=False)
+def Scatter(root: Expr, dtype: DataKind, length: Expr, pos: Pos | None = None) -> Atom:
+    return Atom("scatter", (root,), dtype, length, None, pos)
 
 
-GlobalAtom = Union[Message, Scatter, Gather, Bcast, Allreduce]
-LocalAtom = Union[Send, Receive, Scatter, Gather, Bcast, Allreduce]
-Atom = Union[Message, Send, Receive, Scatter, Gather, Bcast, Allreduce]
+def Gather(root: Expr, dtype: DataKind, length: Expr, pos: Pos | None = None) -> Atom:
+    return Atom("gather", (root,), dtype, length, None, pos)
+
+
+def Bcast(root: Expr, dtype: DataKind, length: Expr, pos: Pos | None = None) -> Atom:
+    return Atom("bcast", (root,), dtype, length, None, pos)
+
+
+def Allreduce(dtype: DataKind, length: Expr, op: ReduceOp, pos: Pos | None = None) -> Atom:
+    return Atom("allreduce", (), dtype, length, op, pos)
 
 
 class Comm(NamedTuple):
@@ -131,63 +125,26 @@ class Comm(NamedTuple):
     op: ReduceOp | None = None
 
 
-ATOM_NAMES = {
-    Message: "message",
-    Send: "send",
-    Receive: "receive",
-    Scatter: "scatter",
-    Gather: "gather",
-    Bcast: "bcast",
-    Allreduce: "allreduce",
-}
-"""The written name of each atom class, which is also the `Comm` kind of
-a local atom."""
-
-ATOM_FIELDS = {cls: tuple(f.name for f in fields(cls) if f.name != "pos") for cls in ATOM_NAMES}
-"""The argument fields of each atom class, in written order."""
-
-# Built once: the printer, grounding and the search read an atom's
-# arguments per atom, and `fields()` is too slow to call there.
-_ARGS = {cls: attrgetter(*names) for cls, names in ATOM_FIELDS.items()}
-_CLASS_OF = {name: cls for cls, name in ATOM_NAMES.items()}
-
-# Arguments of these types are labels, written as their value; every
-# other argument is an expression.
-LABELS = (DataKind, ReduceOp)
-
-
-def atom_args(a: Atom) -> tuple:
-    """The arguments of `a` as written: its fields other than `pos`, in order."""
-    try:
-        get = _ARGS[type(a)]
-    except KeyError:
-        raise TypeError(f"not an atom: {a!r}") from None
-    return get(a)
-
-
-def comm_of(a: LocalAtom) -> Comm:
+def comm_of(a: Atom) -> Comm:
     """The communication a ground local atom performs.
 
-    Raises ValueError when a peer, root or length is not yet a value:
-    project the protocol or `ground_term` the local type first.
+    Raises TypeError for a message, and ValueError when a peer, root or
+    length is not yet a value: project the protocol or `ground_term` the
+    local type first.
     """
-    kind = ATOM_NAMES.get(type(a))
-    if kind is None or kind == "message":
+    if a.kind == "message":
         raise TypeError(f"not a local atom: {a!r}")
     try:
-        if kind == "allreduce":
-            return Comm(kind, None, a.dtype, eval_expr(a.length, {}), a.op)
-        who, dtype, length = atom_args(a)
-        return Comm(kind, eval_expr(who, {}), dtype, eval_expr(length, {}))
+        peer = eval_expr(a.who[0], {}) if a.who else None
+        return Comm(a.kind, peer, a.dtype, eval_expr(a.length, {}), a.op)
     except ExprError:
         raise ValueError("local atom is not ground; project or ground_term it first") from None
 
 
-def atom_of(c: Comm) -> LocalAtom:
+def atom_of(c: Comm) -> Atom:
     """The ground local atom performing `c`; inverse of `comm_of`."""
-    if c.kind == "allreduce":
-        return Allreduce(c.dtype, Lit(c.count), c.op)
-    return _CLASS_OF[c.kind](Lit(c.peer), c.dtype, Lit(c.count))
+    who = () if c.peer is None else (Lit(c.peer),)
+    return Atom(c.kind, who, c.dtype, Lit(c.count), c.op)
 
 
 # ---------------------------------------------------------------------------
@@ -255,8 +212,10 @@ class _Node:
         return "".join(parts) + repr(t) + ")" * depth
 
     def __reduce__(self):
-        # Class and fields, `cont` last; pickles rebuild through it, so hashes are recomputed.
-        return type(self), self._values(self)
+        # The spine's heads, chained by `rebuild`: a pickle or deep copy
+        # recurses only into loop bodies and choice branches, and the
+        # hashes are recomputed.
+        return rebuild, ([(type(t), *t._values(t)[:-1]) for t in spine(self)],)
 
 
 @dataclass(frozen=True, eq=False, repr=False, slots=True)
@@ -339,8 +298,7 @@ def rebuild(nodes: Sequence, tail: TypeTerm = End()) -> TypeTerm:
     """
     for item in reversed(nodes):
         if isinstance(item, _Node):
-            cls, args = item.__reduce__()
-            item = (cls, *args[:-1])
+            item = (type(item), *item._values(item)[:-1])
         cls, *args = item
         tail = cls(*args, tail)
     return tail
@@ -370,18 +328,20 @@ def concat(t: TypeTerm, rest: TypeTerm) -> TypeTerm:
 
 
 def ground_atom(a: Atom, env: Env) -> Atom:
-    """Evaluate every expression argument of `a` to a literal. A literal
-    argument is still evaluated, for its range check, and then kept:
-    `Lit` is frozen, so the grounded atom may share it, and an atom whose
-    arguments are all literals or labels is returned itself."""
+    """Evaluate every rank and length expression of `a` to a literal. A
+    literal is still evaluated, for its range check, and then kept: `Lit`
+    is frozen, so the grounded atom may share it, and an atom whose
+    expressions are all literals is returned itself."""
     args, changed = [], False
-    for x in atom_args(a):
-        if not isinstance(x, LABELS):
-            value = eval_expr(x, env)
-            if type(x) is not Lit:
-                x, changed = Lit(value), True
+    for x in (*a.who, a.length):
+        value = eval_expr(x, env)
+        if type(x) is not Lit:
+            x, changed = Lit(value), True
         args.append(x)
-    return type(a)(*args, pos=a.pos) if changed else a
+    if not changed:
+        return a
+    *who, length = args
+    return Atom(a.kind, tuple(who), a.dtype, length, a.op, a.pos)
 
 
 def ground_term(t: TypeTerm, env: Env) -> TypeTerm:
@@ -404,6 +364,4 @@ def ground_term(t: TypeTerm, env: Env) -> TypeTerm:
 
 
 def is_ground(t: TypeTerm) -> bool:
-    return not any(
-        expr_vars(x) for a in atoms_of(t) for x in atom_args(a) if not isinstance(x, LABELS)
-    )
+    return not any(expr_vars(x) for a in atoms_of(t) for x in (*a.who, a.length))

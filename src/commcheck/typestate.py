@@ -15,11 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .terms import (
+    Atom,
     Choice,
     Comm,
     DataKind,
     End,
-    LocalAtom,
     LocalType,
     Loop,
     Prefix,
@@ -76,7 +76,7 @@ class HeadMismatch(StepError):
     """Action and head prefix disagree in `fields`, most significant
     first; the first one names the code."""
 
-    def __init__(self, atom: LocalAtom, action: Comm, fields: tuple[str, ...]):
+    def __init__(self, atom: Atom, action: Comm, fields: tuple[str, ...]):
         super().__init__(
             f"action {describe_action(action)} does not match the expected"
             f" {format_atom(atom)} (differs in {', '.join(fields)})"
@@ -115,7 +115,7 @@ class BufferObligation(StepError):
 # ---------------------------------------------------------------------------
 
 
-def first(t: LocalType) -> LocalAtom:
+def first(t: LocalType) -> Atom:
     """Head atom of a prefix; anything else has no first action."""
     match t:
         case Prefix(atom, _):
@@ -150,7 +150,7 @@ def choice_branches(t: LocalType) -> tuple[LocalType, LocalType]:
 # ---------------------------------------------------------------------------
 
 
-def mismatched_fields(atom: LocalAtom, action: Comm) -> tuple[str, ...]:
+def mismatched_fields(atom: Atom, action: Comm) -> tuple[str, ...]:
     """Names of the fields where `action` disagrees with `atom`, most
     significant first; empty when they match."""
     head = comm_of(atom)

@@ -21,18 +21,7 @@ from .exprs import (
     check_refinement,
     eval_expr,
 )
-from .terms import (
-    Allreduce,
-    Bcast,
-    Gather,
-    Loop,
-    Message,
-    Prefix,
-    Protocol,
-    Scatter,
-    TypeTerm,
-    spine,
-)
+from .terms import COLLECTIVES, Loop, Prefix, Protocol, TypeTerm, spine
 
 # Ensemble size must stay strictly inside these bounds.
 MIN_PROCS = 1
@@ -171,14 +160,16 @@ def _check_atom(atom, base: str, index: int, env: Env, num_procs: int, report: W
     are collected as (code, message) pairs and its path is written only
     when there are some."""
     found: list[tuple[str, str]] = []
-    if isinstance(atom, Message):
-        s = _rank_of(atom.src, "source rank", env, num_procs, found)
-        d = _rank_of(atom.dst, "destination rank", env, num_procs, found)
+    if atom.kind == "message":
+        src, dst = atom.who
+        s = _rank_of(src, "source rank", env, num_procs, found)
+        d = _rank_of(dst, "destination rank", env, num_procs, found)
         if s is not None and s == d:
             found.append(("self-message", f"source and destination are both rank {s}"))
-    elif isinstance(atom, (Scatter, Gather, Bcast)):
-        _rank_of(atom.root, "root rank", env, num_procs, found)
-    elif not isinstance(atom, Allreduce):
+    elif atom.kind in COLLECTIVES:
+        for root in atom.who:
+            _rank_of(root, "root rank", env, num_procs, found)
+    else:
         raise TypeError(f"not a global atom: {atom!r}")
     try:
         length = eval_expr(atom.length, env)

@@ -244,7 +244,7 @@ def _point(rng: random.Random, view: LocalType, fits, edit) -> LocalType | None:
 
 
 def _p2p(atom) -> bool:
-    return isinstance(atom, (Send, Receive))
+    return atom.kind in ("send", "receive")
 
 
 def _any(atom) -> bool:
@@ -261,15 +261,15 @@ def swap_adjacent_atoms(rng: random.Random, view: LocalType) -> LocalType | None
 def flip_direction(rng: random.Random, view: LocalType) -> LocalType | None:
     """`view` with one send turned into a receive from the same peer, or
     one receive into a send."""
-    flipped = {Send: Receive, Receive: Send}
-    return _point(rng, view, _p2p, lambda a: flipped[type(a)](a.peer, a.dtype, a.length))
+    flipped = {"send": "receive", "receive": "send"}
+    return _point(rng, view, _p2p, lambda a: replace(a, kind=flipped[a.kind]))
 
 
 def change_peer(rng: random.Random, view: LocalType) -> LocalType | None:
     """`view` with one send's or receive's peer moved to a neighbouring
     rank, which at the edges lies outside the ensemble."""
     step = rng.choice((-1, 1))
-    return _point(rng, view, _p2p, lambda a: replace(a, peer=Lit(a.peer.value + step)))
+    return _point(rng, view, _p2p, lambda a: replace(a, who=(Lit(a.who[0].value + step),)))
 
 
 def change_count(rng: random.Random, view: LocalType) -> LocalType | None:

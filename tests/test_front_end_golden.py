@@ -13,14 +13,24 @@ the mutants do not depend on the tokenizer under test.
 To rewrite the golden list after a deliberate change of the front end:
 
     PYTHONPATH=src python tests/test_front_end_golden.py > tests/front_end_golden.txt
+
+A change that only renames tree classes or fields moves every digest
+but none of the outcomes. Before rewriting the list for one, check that
+the regenerated lines partition the inputs as the old list does: the
+same lines, every `syntax error:` line byte-identical, and the `ok`
+digests mapped one-to-one. The check exits non-zero otherwise:
+
+    PYTHONPATH=src python tests/test_front_end_golden.py --same-partition OLD
 """
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import hashlib
 import random
 import re
+import sys
 from pathlib import Path
 
 from commcheck.lexer import ParseError
@@ -174,6 +184,42 @@ def golden_lines() -> list[str]:
     return lines
 
 
+def same_partition(old: list[str], new: list[str]) -> list[str]:
+    """Why `new` is not `old` with its `ok` digests renamed one-to-one:
+    one line per problem, none when it is."""
+    if len(new) != len(old):
+        return [f"{len(new)} lines, not {len(old)}"]
+    problems = []
+    forward: dict[str, str] = {}
+    backward: dict[str, str] = {}
+    for n, (was, now) in enumerate(zip(old, new), 1):
+        was_input, _, was_outcome = was.partition(" -> ")
+        now_input, _, now_outcome = now.partition(" -> ")
+        if was_input != now_input or not (was_outcome[:3] == now_outcome[:3] == "ok "):
+            if now != was:
+                problems.append(f"line {n}: {now!r}, not {was!r}")
+        elif forward.setdefault(was_outcome, now_outcome) != now_outcome or (
+            backward.setdefault(now_outcome, was_outcome) != was_outcome
+        ):
+            problems.append(f"line {n}: {was_outcome} and {now_outcome} map to more than one digest")
+    return problems
+
+
+def test_same_partition_accepts_a_renaming_only():
+    old = ["a -> ok 1", "b -> ok 1", "c -> ok 2", "d -> syntax error: 1:1: x"]
+    assert same_partition(old, old) == []
+    assert same_partition(old, ["a -> ok 9", "b -> ok 9", "c -> ok 8", old[3]]) == []
+    for new in (
+        old[:3],  # a line lost
+        ["a -> ok 9", "b -> ok 8", "c -> ok 8", old[3]],  # a digest split
+        ["a -> ok 9", "b -> ok 9", "c -> ok 9", old[3]],  # two digests merged
+        ["a -> ok 9", "b -> ok 9", "c -> ok 8", "d -> syntax error: 1:2: x"],
+        ["a -> ok 9", "b -> ok 9", "c -> ok 8", "d -> ok 7"],  # an error became a tree
+        ["a -> ok 9", "b -> ok 9", "e -> ok 8", old[3]],  # another input
+    ):
+        assert same_partition(old, new), new
+
+
 def test_front_end_outcomes_match_the_golden_list():
     want = _GOLDEN.read_text().splitlines()
     got = golden_lines()
@@ -215,5 +261,31 @@ def test_mutants_reach_every_early_exit_of_the_hot_productions():
         assert detail in text, detail
 
 
+def main() -> int:
+    ap = argparse.ArgumentParser(description="Print the front end's golden lines.")
+    ap.add_argument(
+        "--same-partition",
+        metavar="OLD",
+        type=Path,
+        help="check the lines against the golden list OLD instead of printing them",
+    )
+    args = ap.parse_args()
+    lines = golden_lines()
+    if args.same_partition is None:
+        print("\n".join(lines))
+        return 0
+    problems = same_partition(args.same_partition.read_text().splitlines(), lines)
+    for problem in problems:
+        print(problem, file=sys.stderr)
+    ok = [line for line in lines if " -> ok " in line]
+    digests = {line.rpartition(" ")[2] for line in ok}
+    verdict = "differs from" if problems else "has the same partition as"
+    print(
+        f"{len(lines)} lines, {len(ok)} ok with {len(digests)} distinct digests:"
+        f" {verdict} {args.same_partition}"
+    )
+    return 1 if problems else 0
+
+
 if __name__ == "__main__":
-    print("\n".join(golden_lines()))
+    sys.exit(main())

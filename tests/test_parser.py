@@ -19,7 +19,6 @@ from commcheck.terms import (
     Choice,
     DataKind,
     End,
-    Gather,
     Loop,
     Message,
     Prefix,
@@ -209,7 +208,7 @@ def test_parse_ring_protocol(fdiff_protocol_text):
     # six halo messages, then the error reduction, then the body ends
     node = loop.body
     messages = []
-    while isinstance(node, Prefix) and isinstance(node.atom, Message):
+    while isinstance(node, Prefix) and node.atom.kind == "message":
         messages.append(node.atom)
         node = node.cont
     assert len(messages) == 6
@@ -220,7 +219,7 @@ def test_parse_ring_protocol(fdiff_protocol_text):
     branch = loop.cont
     assert isinstance(branch, Choice)
     assert isinstance(branch.true_branch, Prefix)
-    assert isinstance(branch.true_branch.atom, Gather)
+    assert branch.true_branch.atom.kind == "gather"
     assert branch.false_branch == End()
     assert branch.cont == End()
 

@@ -10,13 +10,9 @@ from commcheck.program import (
     BufferDecl,
     CollChoice,
     CollLoop,
-    CommRank,
-    CommSize,
     CommStmt,
-    Compute,
-    Finalize,
-    Init,
     Let,
+    Marker,
     RankIf,
     parse_program,
 )
@@ -29,7 +25,7 @@ MINIMAL = "init\nfinalize\n"
 def test_minimal_program():
     prog = parse_program(MINIMAL)
     assert prog.params == ()
-    assert prog.body == (Init(), Finalize())
+    assert prog.body == (Marker("init"), Marker("finalize"))
 
 
 def test_ring_program_structure(fdiff_program_text):
@@ -56,7 +52,7 @@ def test_ring_program_structure(fdiff_program_text):
 
     # the choice gathers on one side and merely computes on the other
     assert any(isinstance(s, CommStmt) and s.kind == "gather" for s in choices[0].then_body)
-    assert all(isinstance(s, Compute) for s in choices[0].else_body)
+    assert all(s == Marker("compute") for s in choices[0].else_body)
 
 
 def test_statement_payloads():
@@ -82,14 +78,16 @@ def test_statement_payloads():
     assert a == BufferDecl("a", DataKind.FLOAT, BinOp("*", Var("n"), Lit(2)))
     assert b == BufferDecl("b", DataKind.INT, Lit(4))
 
-    stmts = {s.kind if isinstance(s, CommStmt) else type(s).__name__: s for s in prog.body}
+    stmts = {
+        s.kind if isinstance(s, (CommStmt, Marker)) else type(s).__name__: s for s in prog.body
+    }
     assert stmts["Let"] == Let("half", BinOp("/", Var("n"), Lit(2)))
     assert stmts["send"] == CommStmt("send", BinOp("+", Var("me"), Lit(1)), "a", Lit(1))
     assert stmts["receive"].who == BinOp("-", Var("me"), Lit(1))
     assert stmts["scatter"] == CommStmt("scatter", Lit(0), "a", Var("half"))
     assert stmts["allreduce"] == CommStmt("allreduce", None, "b", Lit(1), ReduceOp.SUM)
-    assert isinstance(stmts["CommSize"], CommSize)
-    assert isinstance(stmts["CommRank"], CommRank)
+    assert stmts["commsize"] == Marker("commsize")
+    assert stmts["commrank"] == Marker("commrank")
 
 
 def test_nested_blocks():
@@ -107,7 +105,7 @@ def test_nested_blocks():
     assert isinstance(loop, CollLoop)
     inner = loop.body[0]
     assert isinstance(inner, CollChoice)
-    assert inner.then_body == (Compute(),)
+    assert inner.then_body == (Marker("compute"),)
     assert inner.else_body == ()
 
 

@@ -17,18 +17,13 @@ from commcheck.parser import parse_local_term, parse_protocol
 from commcheck.printer import format_term
 from commcheck.projection import project, project_all
 from commcheck.terms import (
-    Allreduce,
-    Bcast,
     Choice,
     DataKind,
     End,
-    Gather,
     Loop,
-    Message,
     Prefix,
     Receive,
     ReduceOp,
-    Scatter,
     Send,
     ground_term,
     is_ground,
@@ -46,18 +41,18 @@ def global_tokens(t, rank, env):
     while not isinstance(t, End):
         if isinstance(t, Prefix):
             a = t.atom
-            if isinstance(a, Message):
-                src, dst = eval_expr(a.src, env), eval_expr(a.dst, env)
+            if a.kind == "message":
+                src, dst = (eval_expr(x, env) for x in a.who)
                 n = eval_expr(a.length, env)
                 if rank == src:
                     out.append(("send", dst, a.dtype, n))
                 elif rank == dst:
                     out.append(("receive", src, a.dtype, n))
-            elif isinstance(a, (Scatter, Gather, Bcast)):
-                name = type(a).__name__.lower()
-                out.append((name, eval_expr(a.root, env), a.dtype, eval_expr(a.length, env)))
+            elif a.kind in ("scatter", "gather", "bcast"):
+                (root,) = a.who
+                out.append((a.kind, eval_expr(root, env), a.dtype, eval_expr(a.length, env)))
             else:
-                assert isinstance(a, Allreduce)
+                assert a.kind == "allreduce" and a.who == ()
                 out.append(("allreduce", a.dtype, eval_expr(a.length, env), a.op))
             t = t.cont
         elif isinstance(t, Loop):
@@ -81,13 +76,11 @@ def local_tokens(t):
     while not isinstance(t, End):
         if isinstance(t, Prefix):
             a = t.atom
-            if isinstance(a, (Send, Receive)):
-                kind = "send" if isinstance(a, Send) else "receive"
-                out.append((kind, a.peer.value, a.dtype, a.length.value))
-            elif isinstance(a, Allreduce):
+            if a.kind == "allreduce":
                 out.append(("allreduce", a.dtype, a.length.value, a.op))
             else:
-                out.append((type(a).__name__.lower(), a.root.value, a.dtype, a.length.value))
+                (who,) = a.who
+                out.append((a.kind, who.value, a.dtype, a.length.value))
             t = t.cont
         elif isinstance(t, Loop):
             out.append(("loop",))
@@ -179,12 +172,12 @@ def test_views_share_the_protocols_literals():
     views = project_all(proto, {})
     for view0, view1 in ((views[0], views[1]), (project(proto, {}, 0), project(proto, {}, 1))):
         send, receive = view0.atom, view1.atom
-        assert send.peer is msg.dst
+        assert send.who[0] is msg.who[1]
         assert send.length is msg.length
-        assert receive.peer is msg.src
+        assert receive.who[0] is msg.who[0]
         assert receive.length is msg.length
         for view in (view0, view1):
-            assert view.cont.atom.root is bcast.root
+            assert view.cont.atom.who[0] is bcast.who[0]
             assert view.cont.atom.length is bcast.length
 
 

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import importlib
 import pickle
 import pkgutil
+import random
 import typing
 
 import pytest
@@ -13,6 +15,7 @@ import pytest
 import commcheck
 from commcheck.parser import parse_local_term, parse_protocol
 from commcheck.program import Stmt, parse_program
+from commcheck.projection import project_all
 from commcheck.sim import DecisionStep, Deadlock, P2PStep, explore_all_tapes
 from commcheck.terms import Comm, spine
 from commcheck.wf import Diagnostic, check_wf
@@ -38,9 +41,31 @@ def _records():
                 yield value
 
 
+# Every dataclass of the package, by module.
+RECORDS = {
+    "checker": {"CheckReport"},
+    "exprs": {
+        "And", "ArrayKind", "BinOp", "Cmp", "FloatKind", "IntKind", "Lit", "NatKind", "Not",
+        "Or", "RefinedKind", "Refinement", "Var",
+    },
+    "program": {
+        "BufferDecl", "CollChoice", "CollLoop", "CommStmt", "Let", "Marker", "Program", "RankIf",
+    },
+    "projection": {"ProjectionResult"},
+    "sim": {"AllDone", "Deadlock", "DecisionStep", "P2PStep", "SimState", "StateSpaceExceeded"},
+    "terms": {"Atom", "Choice", "End", "Loop", "ParamBinder", "Prefix", "Protocol"},
+    "typestate": {"BufferFacts"},
+    "wf": {"Diagnostic", "WfReport"},
+}
+
+
 def test_every_frozen_record_is_slotted():
     records = list(_records())
-    assert len(records) == 49
+    by_module: dict[str, set[str]] = {}
+    for cls in records:
+        by_module.setdefault(cls.__module__.removeprefix("commcheck."), set()).add(cls.__name__)
+    assert by_module == RECORDS
+    assert len(records) == sum(map(len, RECORDS.values())) == 39
     assert {cls.__name__ for cls in records if not cls.__dataclass_params__.frozen} == (
         MUTABLE_REPORTS
     )
@@ -73,6 +98,21 @@ def test_a_protocol_with_a_refined_parameter_pickles(fdiff_protocol_text):
     assert hash(copy.body) == hash(protocol.body)
     assert not hasattr(spine(copy.body)[0], "__dict__")
     assert copy.params[0].pos == protocol.params[0].pos
+
+
+def test_a_thousand_message_chain_and_its_views_pickle_and_deep_copy():
+    # A node pickles as its spine's heads, so only loop and choice
+    # nesting recurses, never the length of a spine.
+    rng = random.Random(1)
+    lines = ["nprocs 3."]
+    for _ in range(1_000):
+        src, dst = rng.sample(range(3), 2)
+        lines.append(f"message({src},{dst},MPI_INT,{rng.randint(0, 8)}).")
+    protocol = parse_protocol("\n".join([*lines, "loop(", *lines[1:], "end).", "end"]))
+    views = project_all(protocol, {})
+    for term in (protocol, views):
+        for clone in (_roundtrip(term), copy.deepcopy(term)):
+            assert clone == term and clone is not term
 
 
 def test_a_program_with_every_statement_kind_pickles(fdiff_program_text):

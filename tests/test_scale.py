@@ -126,7 +126,7 @@ def test_repr_of_a_hundred_thousand_message_view():
     for _ in range(n):
         view = Prefix(Send(Lit(1), DataKind.INT, Lit(2)), view)
     text = repr(view)
-    assert text.count("Prefix(atom=Send(") == n
+    assert text.count("Prefix(atom=Atom(kind='send', ") == n
     assert text.endswith("cont=End()" + ")" * n)
 
 

@@ -1,4 +1,5 @@
-"""Term helpers: spine concatenation, atom enumeration, grounding."""
+"""Atoms, and the term helpers: spine concatenation, atom enumeration,
+grounding."""
 
 from __future__ import annotations
 
@@ -8,6 +9,7 @@ import random
 import subprocess
 import sys
 from dataclasses import fields
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -15,16 +17,25 @@ import pytest
 import commcheck
 from commcheck.exprs import BinOp, IntegerOverflow, Lit, Var
 from commcheck.parser import parse_local_term, parse_protocol
-from commcheck.printer import format_term
+from commcheck.printer import format_atom, format_term
 from commcheck.projection import project_all
 from commcheck.terms import (
+    Allreduce,
+    Bcast,
     Choice,
     DataKind,
     End,
+    Gather,
     Loop,
+    Message,
     Prefix,
+    Receive,
+    ReduceOp,
+    Scatter,
     Send,
+    atom_of,
     atoms_of,
+    comm_of,
     concat,
     ground_term,
     is_ground,
@@ -46,6 +57,49 @@ def spine_len(t):
         n += 1
         t = t.cont
     return n
+
+
+# One atom of every kind each side writes.
+COLLECTIVES = [
+    Scatter(Lit(0), DataKind.INT, Lit(3)),
+    Gather(Lit(2), DataKind.FLOAT, Lit(1)),
+    Bcast(Lit(1), DataKind.INT, Lit(0)),
+    Allreduce(DataKind.FLOAT, Lit(2), ReduceOp.MIN),
+]
+GLOBAL_ATOMS = [Message(Lit(0), Lit(2), DataKind.INT, Lit(4)), *COLLECTIVES]
+LOCAL_ATOMS = [
+    Send(Lit(1), DataKind.FLOAT, Lit(4)),
+    Receive(Lit(2), DataKind.INT, Lit(5)),
+    *COLLECTIVES,
+]
+
+
+@pytest.mark.parametrize("makers", [(Scatter, Gather, Bcast), (Send, Receive)])
+def test_atoms_that_differ_only_in_kind_are_unequal(makers):
+    atoms = [make(Lit(1), DataKind.INT, Lit(2)) for make in makers]
+    for a, b in combinations(atoms, 2):
+        assert a.who == b.who and a != b
+    assert len(set(atoms)) == len(atoms)
+
+
+@pytest.mark.parametrize("atom", GLOBAL_ATOMS, ids=lambda a: a.kind)
+def test_a_global_atom_survives_printing_and_parsing(atom):
+    assert parse_protocol(f"nprocs 3.\n{format_atom(atom)}.end").body.atom == atom
+
+
+@pytest.mark.parametrize("atom", LOCAL_ATOMS, ids=lambda a: a.kind)
+def test_a_local_atom_survives_printing_and_parsing(atom):
+    assert parse_local_term(f"{format_atom(atom)}.end").atom == atom
+
+
+@pytest.mark.parametrize("atom", LOCAL_ATOMS, ids=lambda a: a.kind)
+def test_a_local_atom_survives_its_communication(atom):
+    assert atom_of(comm_of(atom)) == atom
+
+
+def test_a_message_performs_no_communication():
+    with pytest.raises(TypeError, match="not a local atom"):
+        comm_of(GLOBAL_ATOMS[0])
 
 
 def test_concat_identities():
@@ -107,7 +161,7 @@ def test_ground_term_evaluates_everything():
     assert is_ground(g)
     assert not is_ground(t)
     head = g.atom
-    assert head.peer == Lit(2)
+    assert head.who == (Lit(2),)
     assert head.length == Lit(6)
 
 
@@ -174,7 +228,7 @@ def test_node_hash_is_computed_on_first_use():
 
 # sha256 of the reprs of the terms in the test below, joined by
 # newlines, as the dataclass-generated `__repr__` wrote them.
-_REPR_DIGEST = "1afa818db9b4614aa7100e28b8e1b68e9500631bf0a08d0ad02fe59010efb43d"
+_REPR_DIGEST = "3347f4a01f3f43cb9f2d80ab9be5da8d3f3fc066947f3882260086cfb9c64005"
 
 
 def dataclass_repr(t):
