@@ -49,28 +49,13 @@ from .terms import (
     ground_term,
     is_ground,
 )
-from .typestate import (
-    AtCollectiveBoundary,
-    BufferFacts,
-    HeadMismatch,
-    NotAPrefix,
-    ResidualNotEnd,
-    StepError,
-    check_finalized,
-    choice_branches,
-    first,
-    loop_body,
-    next_type,
-    step,
-)
+from .typestate import NotAPrefix, StepError, choice_branches, first, loop_body, next_type, step
 from .wf import Diagnostic, WfReport, check_wf
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AllDone",
-    "AtCollectiveBoundary",
-    "BufferFacts",
     "CheckReport",
     "Comm",
     "DataKind",
@@ -80,7 +65,6 @@ __all__ = [
     "Env",
     "ExprError",
     "GlobalType",
-    "HeadMismatch",
     "IllFormedProtocol",
     "LocalType",
     "NotAPrefix",
@@ -90,7 +74,6 @@ __all__ = [
     "ProjectionResult",
     "Protocol",
     "ReduceOp",
-    "ResidualNotEnd",
     "SimState",
     "SimVerdict",
     "StateSpaceExceeded",
@@ -99,7 +82,6 @@ __all__ = [
     "TypeTerm",
     "WfReport",
     "check_compliance",
-    "check_finalized",
     "check_refinement",
     "check_wf",
     "choice_branches",

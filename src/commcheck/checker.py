@@ -3,15 +3,16 @@
 Checking walks the program once per rank with `me` bound to that rank,
 evaluating every guard and expression concretely, and steps the rank's
 projected local type through each communication statement, read as the
-`Comm` it performs (its length evaluated first). The walk for a rank
-stops at its first defect: the statement that finds it raises one
-internal exception, and `_walk` gives an expression or stepping error
-the position of the innermost statement it arose in. Each rank's walk
-catches it once, so a defect reaches the caller as a positioned
-diagnostic, never as an exception. Erasure walks the same way but
-instead of checking it records the communications a rank performs
-under a given run of collective decisions, whether or not the program
-is compliant.
+`Comm` it performs (its length evaluated first); the statement's buffer
+must then hold the transferred count. The walk for a rank stops at its
+first defect, a `StepError` raised by `step` or by the statement that
+finds it, and `_walk` gives it the position of the innermost statement
+it arose in, turning an expression error into an `eval-error` there.
+Each rank's walk catches it once, so a defect reaches the caller as a
+positioned diagnostic, never as an exception. Erasure walks the same
+way but instead of checking it records the communications a rank
+performs under a given run of collective decisions, whether or not the
+program is compliant.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .program import (
 from .projection import project
 from .sim import _tape_entry
 from .terms import Choice, Comm, DataKind, End, Loop, Protocol
-from .typestate import BufferFacts, StepError, check_finalized, describe_node, step
+from .typestate import StepError, describe_node, step
 from .wf import Diagnostic, WfReport, check_wf
 
 
@@ -54,11 +55,6 @@ class CheckReport:
 
     def render_lines(self, filename: str = "<program>") -> list[str]:
         return [d.render(filename) for d in self.all_diagnostics()]
-
-
-class _Defect(Exception):
-    """Internal: the defect that stops a rank's walk. Its args are the
-    diagnostic's code, message and position."""
 
 
 class IllFormedProtocol(ValueError):
@@ -109,8 +105,8 @@ def check_compliance(prog: Program, protocol: Protocol, inst: Env) -> CheckRepor
                 # The walk ends at the finalize statement, which checks
                 # the residual.
                 _walk(prog.body, local, env, {}, decisions)
-            except _Defect as defect:
-                diagnostics.append(Diagnostic(*defect.args, rank=rank))
+            except StepError as defect:
+                diagnostics.append(Diagnostic(defect.code, str(defect), defect.pos, rank=rank))
         reports.append(diagnostics)
         traces.append(tuple(decisions))
 
@@ -136,17 +132,23 @@ def check_compliance(prog: Program, protocol: Protocol, inst: Env) -> CheckRepor
     return CheckReport(reports)
 
 
-def _walk(stmts: tuple[Stmt, ...], t, env: Env, buffers: dict[str, BufferFacts], decisions: list):
-    """The residue after `stmts`. An expression or stepping error becomes
-    the defect of the statement it arose in; a nested walk has already
-    turned one of its own statements' errors into a `_Defect`."""
+# A buffer as the walk knows it: its element kind and its capacity.
+_Buffers = dict[str, tuple[DataKind, int]]
+
+
+def _walk(stmts: tuple[Stmt, ...], t, env: Env, buffers: _Buffers, decisions: list):
+    """The residue after `stmts`. A defect without a position gets that
+    of the statement it arose in, and an expression error becomes an
+    `eval-error` there."""
     for stmt in stmts:
         try:
             t = _walk_stmt(stmt, t, env, buffers, decisions)
         except ExprError as err:
-            raise _Defect("eval-error", str(err), stmt.pos) from None
+            raise StepError("eval-error", str(err), stmt.pos) from None
         except StepError as err:
-            raise _Defect(err.code, str(err), stmt.pos) from None
+            if err.pos is None:
+                err.pos = stmt.pos
+            raise
     return t
 
 
@@ -158,12 +160,27 @@ def _stmt_comm(stmt: CommStmt, elem: DataKind, env: Env) -> Comm:
     return Comm(stmt.kind, who, elem, count, stmt.op)
 
 
-def _walk_stmt(stmt: Stmt, t, env: Env, buffers: dict[str, BufferFacts], decisions: list):
+def _require_end(residual, leaves: str) -> None:
+    """A `residual-not-end` defect unless `residual` is `end`; `leaves`
+    says where the walk left it."""
+    if not isinstance(residual, End):
+        raise StepError("residual-not-end", f"{leaves} {describe_node(residual)}, not end")
+
+
+def _walk_stmt(stmt: Stmt, t, env: Env, buffers: _Buffers, decisions: list):
     if isinstance(stmt, CommStmt):
         buf = buffers.get(stmt.buf)
         if buf is None:
-            raise _Defect("unknown-buffer", f"no buffer named '{stmt.buf}'", stmt.pos)
-        return step(t, _stmt_comm(stmt, buf.elem, env), buf)
+            raise StepError("unknown-buffer", f"no buffer named '{stmt.buf}'")
+        elem, capacity = buf
+        action = _stmt_comm(stmt, elem, env)
+        t = step(t, action)
+        if capacity < action.count:
+            raise StepError(
+                "buffer-obligation",
+                f"buffer capacity {capacity} is smaller than the transferred count {action.count}",
+            )
+        return t
     if isinstance(stmt, RankIf):
         body = stmt.then_body if eval_pred(stmt.guard, env) else stmt.else_body
         return _walk(body, t, env, buffers, decisions)
@@ -173,54 +190,36 @@ def _walk_stmt(stmt: Stmt, t, env: Env, buffers: dict[str, BufferFacts], decisio
     if isinstance(stmt, BufferDecl):
         size = eval_expr(stmt.capacity, env)
         if size < 0:
-            raise _Defect(
-                "negative-capacity", f"buffer '{stmt.name}' has capacity {size}", stmt.pos
-            )
-        buffers[stmt.name] = BufferFacts(stmt.elem, size)
+            raise StepError("negative-capacity", f"buffer '{stmt.name}' has capacity {size}")
+        buffers[stmt.name] = (stmt.elem, size)
         return t
     if isinstance(stmt, Marker):
         if stmt.kind == "finalize":
-            check_finalized(t)
+            _require_end(t, "obligations remain at finalize: the residual local type is")
         return t
     if isinstance(stmt, CollLoop):
         decisions.append(("loop", id(stmt)))
         if not isinstance(t, Loop):
-            raise _Defect(
+            raise StepError(
                 "expected-loop",
-                f"program enters a collective loop but the protocol is at"
-                f" {describe_node(t)}",
-                stmt.pos,
+                f"program enters a collective loop but the protocol is at {describe_node(t)}",
             )
         residual = _walk(stmt.body, t.body, env, buffers, decisions)
-        if not isinstance(residual, End):
-            raise _Defect(
-                "residual-not-end",
-                f"collective loop body leaves the protocol at"
-                f" {describe_node(residual)}, not end",
-                stmt.pos,
-            )
+        _require_end(residual, "collective loop body leaves the protocol at")
         return t.cont
     if isinstance(stmt, CollChoice):
         decisions.append(("choice", id(stmt)))
         if not isinstance(t, Choice):
-            raise _Defect(
+            raise StepError(
                 "expected-choice",
-                f"program enters a collective choice but the protocol is at"
-                f" {describe_node(t)}",
-                stmt.pos,
+                f"program enters a collective choice but the protocol is at {describe_node(t)}",
             )
         for branch_body, branch_type, name in (
             (stmt.then_body, t.true_branch, "true"),
             (stmt.else_body, t.false_branch, "false"),
         ):
             residual = _walk(branch_body, branch_type, env, buffers, decisions)
-            if not isinstance(residual, End):
-                raise _Defect(
-                    "residual-not-end",
-                    f"collective choice {name} branch leaves the protocol at"
-                    f" {describe_node(residual)}, not end",
-                    stmt.pos,
-                )
+            _require_end(residual, f"collective choice {name} branch leaves the protocol at")
         return t.cont
     raise TypeError(f"not a statement: {stmt!r}")
 

@@ -39,6 +39,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Sequence, Union
 
 from .terms import (
+    COLLECTIVES,
     Choice,
     Comm,
     DataKind,
@@ -54,8 +55,6 @@ from .terms import (
 )
 
 DEFAULT_STATE_LIMIT = 1_000_000
-
-_COLLECTIVES = ("scatter", "gather", "bcast", "allreduce")
 
 
 class TapeExhausted(Exception):
@@ -234,7 +233,7 @@ class _Automaton:
         out: list[tuple[Step, State]] = []
 
         first = heads[0]
-        if type(first) is Comm and first.kind in _COLLECTIVES and all(h == first for h in heads):
+        if type(first) is Comm and first.kind in COLLECTIVES and all(h == first for h in heads):
             out.append((first, tuple(row[1] for row in rows)))
 
         for sender, i in enumerate(state):
@@ -425,7 +424,7 @@ def parse_trail(text: str) -> tuple[Step, ...]:
             if parts[0] == "p2p":
                 kv = dict(p.split("=", 1) for p in parts[1:])
                 step = P2PStep(int(kv["src"]), int(kv["dst"]), DataKind(kv["dtype"]), int(kv["len"]))
-            elif parts[0] == "coll" and parts[1] in _COLLECTIVES:
+            elif parts[0] == "coll" and parts[1] in COLLECTIVES:
                 kind = parts[1]
                 kv = dict(p.split("=", 1) for p in parts[2:])
                 # `format_trail` writes an op for an allreduce, a root for the others

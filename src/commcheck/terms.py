@@ -172,7 +172,7 @@ class _Node:
     def __hash__(self):
         h = getattr(self, "_hash", None)
         if h is None:
-            pending, t = [], self
+            pending, t = [self], self.cont
             while isinstance(t, _Node) and getattr(t, "_hash", None) is None:
                 pending.append(t)
                 t = t.cont

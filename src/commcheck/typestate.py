@@ -1,24 +1,25 @@
-"""Typestate over local types: head accessors and the stepping relation.
+"""Typestate over local types: head accessors and the step relation.
 
-A rank's verification state is the residue of its local type. Each
-communication action a program performs is a `Comm`, the one ground
-record of a communication, and must equal `comm_of` of the residue's
-head prefix field by field; the residue then advances to the
-continuation. Loop and choice nodes are collective boundaries: an
-ordinary action arriving there is a structure error, distinct from a
-mismatched head. Every error carries a stable machine-readable `code`
-naming the class of defect, with the offending field first.
+A rank's verification state is the residue of its local type. `step`
+is the relation type × `Comm` → type: an action the program performs
+must equal `comm_of` of the residue's head prefix field by field, and
+the residue then advances to the continuation. Loop and choice nodes
+are collective boundaries, where an ordinary action is a structure
+error rather than a mismatched head.
+
+`StepError` is the one defect of a rank's walk, raised here by the
+relation and by the checker for its own defects. Its `code` is data: a
+stable machine-readable name of the defect, with the offending field
+or construct after a colon.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from .exprs import Pos
 from .terms import (
     Atom,
     Choice,
     Comm,
-    DataKind,
     End,
     LocalType,
     Loop,
@@ -27,18 +28,6 @@ from .terms import (
     comm_of,
 )
 from .printer import format_atom
-
-
-@dataclass(frozen=True, slots=True)
-class BufferFacts:
-    """What the checker knows about the buffer an action reads or writes."""
-
-    elem: DataKind
-    capacity: int
-
-
-def describe_action(a: Comm) -> str:
-    return format_atom(atom_of(a))
 
 
 def describe_node(t: LocalType) -> str:
@@ -60,54 +49,20 @@ def describe_node(t: LocalType) -> str:
 
 
 class StepError(Exception):
-    """Base class; `code` names the defect class for diagnostics."""
+    """The defect that stops a rank's walk: its `code`, its message, and
+    the position of the statement it arose in, once known."""
 
-    code = "step-error"
+    def __init__(self, code: str, message: str, pos: Pos | None = None):
+        super().__init__(message)
+        self.code = code
+        self.pos = pos
 
 
 class NotAPrefix(StepError):
-    code = "not-a-prefix"
+    """The local type has no node of the kind asked for."""
 
     def __init__(self, expected: str, found: str):
-        super().__init__(f"expected {expected}, but the local type is {found}")
-
-
-class HeadMismatch(StepError):
-    """Action and head prefix disagree in `fields`, most significant
-    first; the first one names the code."""
-
-    def __init__(self, atom: Atom, action: Comm, fields: tuple[str, ...]):
-        super().__init__(
-            f"action {describe_action(action)} does not match the expected"
-            f" {format_atom(atom)} (differs in {', '.join(fields)})"
-        )
-        self.code = f"head-mismatch:{fields[0]}"
-
-
-class AtCollectiveBoundary(StepError):
-    """An ordinary action arrived where the type demands a collective
-    loop or choice construct."""
-
-    def __init__(self, kind: str, action: Comm):
-        super().__init__(
-            f"the local type is at a collective {kind}, but the program"
-            f" performs {describe_action(action)} without entering one"
-        )
-        self.code = f"at-collective-boundary:{kind}"
-
-
-class ResidualNotEnd(StepError):
-    code = "residual-not-end"
-
-    def __init__(self, residual: LocalType):
-        super().__init__(
-            "obligations remain at finalize: the residual local type is"
-            f" {describe_node(residual)}, not end"
-        )
-
-
-class BufferObligation(StepError):
-    code = "buffer-obligation"
+        super().__init__("not-a-prefix", f"expected {expected}, but the local type is {found}")
 
 
 # ---------------------------------------------------------------------------
@@ -150,56 +105,43 @@ def choice_branches(t: LocalType) -> tuple[LocalType, LocalType]:
 # ---------------------------------------------------------------------------
 
 
-def mismatched_fields(atom: Atom, action: Comm) -> tuple[str, ...]:
-    """Names of the fields where `action` disagrees with `atom`, most
+def mismatched_fields(head: Comm, action: Comm) -> tuple[str, ...]:
+    """Names of the fields where `action` disagrees with `head`, most
     significant first; empty when they match."""
-    head = comm_of(atom)
     if head.kind != action.kind:
         return ("kind",)
     labels = ("peer" if head.kind in ("send", "receive") else "root", "dtype", "len", "op")
     return tuple(label for label, x, y in zip(labels, head[1:], action[1:]) if x != y)
 
 
-def step(t: LocalType, action: Comm, buf: BufferFacts | None = None) -> LocalType:
-    """Advance the residue `t` by one communication action.
+def step(t: LocalType, action: Comm) -> LocalType:
+    """The residue after `t` performs `action`: the continuation of a
+    head prefix that matches `action` on every field.
 
-    The head prefix must match `action` on every field, and when buffer
-    facts are supplied the buffer must hold elements of the action's
-    data kind and have capacity for the transferred count. Raises
-    AtCollectiveBoundary at loop/choice nodes, NotAPrefix at end,
-    HeadMismatch or BufferObligation otherwise.
+    Raises StepError `head-mismatch:<field>` at a prefix that differs,
+    naming the most significant field, `at-collective-boundary:<kind>`
+    at a loop or choice, and NotAPrefix at end.
     """
     if isinstance(t, Prefix):
-        atom = t.atom
-        if comm_of(atom) != action:
-            raise HeadMismatch(atom, action, mismatched_fields(atom, action))
-        if buf is not None:
-            if buf.elem != action.dtype:
-                raise BufferObligation(
-                    f"buffer holds {buf.elem.value} elements but the action"
-                    f" transfers {action.dtype.value}"
-                )
-            if buf.capacity < action.count:
-                raise BufferObligation(
-                    f"buffer capacity {buf.capacity} is smaller than the"
-                    f" transferred count {action.count}"
-                )
-        return t.cont
-    if isinstance(t, Loop):
-        raise AtCollectiveBoundary("loop", action)
-    if isinstance(t, Choice):
-        raise AtCollectiveBoundary("choice", action)
+        head = comm_of(t.atom)
+        if head == action:
+            return t.cont
+        fields = mismatched_fields(head, action)
+        raise StepError(
+            f"head-mismatch:{fields[0]}",
+            f"action {format_atom(atom_of(action))} does not match the expected"
+            f" {format_atom(t.atom)} (differs in {', '.join(fields)})",
+        )
+    if isinstance(t, (Loop, Choice)):
+        kind = "loop" if isinstance(t, Loop) else "choice"
+        raise StepError(
+            f"at-collective-boundary:{kind}",
+            f"the local type is at a collective {kind}, but the program"
+            f" performs {format_atom(atom_of(action))} without entering one",
+        )
     if isinstance(t, End):
         raise NotAPrefix(
-            f"the protocol to continue (program performs {describe_action(action)})",
+            f"the protocol to continue (program performs {format_atom(atom_of(action))})",
             "end",
         )
     raise TypeError(f"not a type term: {t!r}")
-
-
-def check_finalized(t: LocalType) -> None:
-    """The residue must be exactly `end` when a rank finalizes."""
-    match t:
-        case End():
-            return
-    raise ResidualNotEnd(t)

@@ -241,6 +241,8 @@ finalize
 LOOP_SEND = "send peer=1 buf=b len=1\n    }"
 FALSE_BRANCH = "  rankif (me == 1) { send peer=0 buf=b len=1 } else { recv peer=1 buf=b len=1 }"
 P2P = "rankif (me == 0) { send peer=1 buf=b len=1 } else { recv peer=0 buf=b len=1 }"
+# From the buffer's declaration to rank 0's send in the loop.
+DECL_TO_SEND = "int[1]\ninit\ncollchoice {\n  collloop {\n    rankif (me == 0) {\n      send peer=1"
 
 
 @pytest.mark.parametrize(
@@ -288,6 +290,12 @@ P2P = "rankif (me == 0) { send peer=1 buf=b len=1 } else { recv peer=0 buf=b len
             "prog.mmp:14:1: rank 1: [residual-not-end] obligations remain at finalize: the"
             " residual local type is receive(0,MPI_INT,1), not end",
         ], id="residual-not-end-finalize"),
+        pytest.param(NESTED_PROGRAM[NESTED_PROGRAM.index("init"):], "init\nfinalize\n", [
+            "prog.mmp:3:1: rank 0: [residual-not-end] obligations remain at finalize: the"
+            " residual local type is a collective choice, not end",
+            "prog.mmp:3:1: rank 1: [residual-not-end] obligations remain at finalize: the"
+            " residual local type is a collective choice, not end",
+        ], id="residual-not-end-finalize-at-choice"),
         pytest.param(LOOP_SEND, "send peer=1 buf=b len=2\n    }", [
             "prog.mmp:6:7: rank 0: [head-mismatch:len] action send(1,MPI_INT,2) does not"
             " match the expected send(1,MPI_INT,1) (differs in len)",
@@ -298,6 +306,24 @@ P2P = "rankif (me == 0) { send peer=1 buf=b len=1 } else { recv peer=0 buf=b len
             "prog.mmp:8:7: rank 1: [buffer-obligation] buffer capacity 0 is smaller than the"
             " transferred count 1",
         ], id="buffer-obligation"),
+        pytest.param(DECL_TO_SEND, DECL_TO_SEND.replace("[1]", "[0]").replace("peer=1", "peer=0"), [
+            "prog.mmp:6:7: rank 0: [head-mismatch:peer] action send(0,MPI_INT,1) does not"
+            " match the expected send(1,MPI_INT,1) (differs in peer)",
+            "prog.mmp:8:7: rank 1: [buffer-obligation] buffer capacity 0 is smaller than the"
+            " transferred count 1",
+        ], id="head-mismatch-before-buffer-obligation"),
+        pytest.param("int[1]", "int[2 - 1]", [], id="capacity-equal-to-count"),
+        pytest.param("int[1]", "int[100]", [], id="capacity-above-count"),
+        pytest.param(LOOP_SEND, "send peer=0 buf=b len=1\n    }", [
+            "prog.mmp:6:7: rank 0: [head-mismatch:peer] action send(0,MPI_INT,1) does not"
+            " match the expected send(1,MPI_INT,1) (differs in peer)",
+        ], id="head-mismatch-peer"),
+        pytest.param("int[1]", "float[1]", [
+            "prog.mmp:6:7: rank 0: [head-mismatch:dtype] action send(1,MPI_FLOAT,1) does not"
+            " match the expected send(1,MPI_INT,1) (differs in dtype)",
+            "prog.mmp:8:7: rank 1: [head-mismatch:dtype] action receive(0,MPI_FLOAT,1) does not"
+            " match the expected receive(0,MPI_INT,1) (differs in dtype)",
+        ], id="head-mismatch-dtype"),
         pytest.param(LOOP_SEND, "send peer=1 buf=b len=1\n      send peer=1 buf=b len=1\n    }", [
             "prog.mmp:7:7: rank 0: [not-a-prefix] expected the protocol to continue (program"
             " performs send(1,MPI_INT,1)), but the local type is end",

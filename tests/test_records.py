@@ -54,7 +54,6 @@ RECORDS = {
     "projection": {"ProjectionResult"},
     "sim": {"AllDone", "Deadlock", "DecisionStep", "P2PStep", "SimState", "StateSpaceExceeded"},
     "terms": {"Atom", "Choice", "End", "Loop", "ParamBinder", "Prefix", "Protocol"},
-    "typestate": {"BufferFacts"},
     "wf": {"Diagnostic", "WfReport"},
 }
 
@@ -65,7 +64,7 @@ def test_every_frozen_record_is_slotted():
     for cls in records:
         by_module.setdefault(cls.__module__.removeprefix("commcheck."), set()).add(cls.__name__)
     assert by_module == RECORDS
-    assert len(records) == sum(map(len, RECORDS.values())) == 39
+    assert len(records) == sum(map(len, RECORDS.values())) == 38
     assert {cls.__name__ for cls in records if not cls.__dataclass_params__.frozen} == (
         MUTABLE_REPORTS
     )

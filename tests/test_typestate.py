@@ -20,16 +20,9 @@ from commcheck.terms import (
     comm_of,
 )
 from commcheck.typestate import (
-    AtCollectiveBoundary,
-    BufferFacts,
-    BufferObligation,
-    HeadMismatch,
     NotAPrefix,
-    ResidualNotEnd,
     StepError,
-    check_finalized,
     choice_branches,
-    describe_action,
     first,
     loop_body,
     mismatched_fields,
@@ -81,7 +74,6 @@ def test_step_advances_on_exact_match():
     t = step(t, Comm("send", 1, DataKind.INT, 4))
     t = step(t, Comm("receive", 0, DataKind.FLOAT, 2))
     assert t == End()
-    check_finalized(t)
 
 
 def test_step_collectives():
@@ -97,54 +89,55 @@ def test_step_collectives():
 
 
 def test_head_mismatch_peer():
-    with pytest.raises(HeadMismatch) as err:
+    with pytest.raises(StepError) as err:
         step(lt("send(1,MPI_INT,4).end"), Comm("send", 0, DataKind.INT, 4))
     assert err.value.code == "head-mismatch:peer"
     assert str(err.value).endswith("(differs in peer)")
 
 
 def test_head_mismatch_root():
-    with pytest.raises(HeadMismatch) as err:
+    with pytest.raises(StepError) as err:
         step(lt("scatter(0,MPI_INT,4).end"), Comm("scatter", 1, DataKind.INT, 4))
     assert err.value.code == "head-mismatch:root"
 
 
 def test_head_mismatch_dtype():
-    with pytest.raises(HeadMismatch) as err:
+    with pytest.raises(StepError) as err:
         step(lt("send(1,MPI_INT,4).end"), Comm("send", 1, DataKind.FLOAT, 4))
     assert err.value.code == "head-mismatch:dtype"
 
 
 def test_head_mismatch_len():
-    with pytest.raises(HeadMismatch) as err:
+    with pytest.raises(StepError) as err:
         step(lt("send(1,MPI_INT,4).end"), Comm("send", 1, DataKind.INT, 5))
     assert err.value.code == "head-mismatch:len"
 
 
 def test_head_mismatch_op():
-    with pytest.raises(HeadMismatch) as err:
+    with pytest.raises(StepError) as err:
         step(lt("allreduce(MPI_INT,1,MPI_MAX).end"), Comm("allreduce", None, DataKind.INT, 1, ReduceOp.SUM))
     assert err.value.code == "head-mismatch:op"
 
 
 def test_head_mismatch_kind_wins_over_field_diffs():
     # send vs receive: report the constructor clash, not the field noise
-    with pytest.raises(HeadMismatch) as err:
+    with pytest.raises(StepError) as err:
         step(lt("send(1,MPI_INT,4).end"), Comm("receive", 0, DataKind.FLOAT, 2))
     assert err.value.code == "head-mismatch:kind"
     assert str(err.value).endswith("(differs in kind)")
 
 
 def test_multiple_field_diffs_listed_most_significant_first():
-    fields = mismatched_fields(first(lt("send(1,MPI_INT,4).end")), Comm("send", 2, DataKind.FLOAT, 9))
+    head = comm_of(first(lt("send(1,MPI_INT,4).end")))
+    fields = mismatched_fields(head, Comm("send", 2, DataKind.FLOAT, 9))
     assert fields == ("peer", "dtype", "len")
 
 
 def test_collective_boundary_errors():
-    with pytest.raises(AtCollectiveBoundary) as err:
+    with pytest.raises(StepError) as err:
         step(lt("loop(end).end"), Comm("send", 1, DataKind.INT, 1))
     assert err.value.code == "at-collective-boundary:loop"
-    with pytest.raises(AtCollectiveBoundary) as err:
+    with pytest.raises(StepError) as err:
         step(lt("choice(end,end).end"), Comm("allreduce", None, DataKind.INT, 1, ReduceOp.SUM))
     assert err.value.code == "at-collective-boundary:choice"
 
@@ -156,58 +149,9 @@ def test_step_past_end():
     assert "send(1,MPI_INT,1)" in str(err.value)
 
 
-def test_finalize_with_obligations_left():
-    with pytest.raises(ResidualNotEnd) as err:
-        check_finalized(lt("send(1,MPI_INT,1).end"))
-    assert err.value.code == "residual-not-end"
-    with pytest.raises(ResidualNotEnd):
-        check_finalized(lt("loop(end).end"))
-
-
 def test_non_ground_type_is_a_usage_error():
     with pytest.raises(ValueError):
         step(lt("send(1,MPI_INT,n).end"), Comm("send", 1, DataKind.INT, 1))
-
-
-# -- buffer obligations -------------------------------------------------------
-
-
-def test_buffer_kind_must_match():
-    with pytest.raises(BufferObligation) as err:
-        step(
-            lt("send(1,MPI_FLOAT,4).end"),
-            Comm("send", 1, DataKind.FLOAT, 4),
-            BufferFacts(DataKind.INT, 8),
-        )
-    assert err.value.code == "buffer-obligation"
-    assert "MPI_INT" in str(err.value)
-
-
-def test_buffer_capacity_must_cover_count():
-    with pytest.raises(BufferObligation) as err:
-        step(
-            lt("send(1,MPI_INT,4).end"),
-            Comm("send", 1, DataKind.INT, 4),
-            BufferFacts(DataKind.INT, 3),
-        )
-    assert "capacity 3" in str(err.value)
-
-
-def test_buffer_exactly_fits_or_larger_is_fine():
-    t = lt("send(1,MPI_INT,4).send(1,MPI_INT,4).end")
-    t = step(t, Comm("send", 1, DataKind.INT, 4), BufferFacts(DataKind.INT, 4))
-    t = step(t, Comm("send", 1, DataKind.INT, 4), BufferFacts(DataKind.INT, 100))
-    assert t == End()
-
-
-def test_head_mismatch_reported_before_buffer_trouble():
-    # a wrong head with a bad buffer: the head mismatch is the diagnosis
-    with pytest.raises(HeadMismatch):
-        step(
-            lt("send(1,MPI_INT,4).end"),
-            Comm("send", 2, DataKind.INT, 4),
-            BufferFacts(DataKind.FLOAT, 0),
-        )
 
 
 # -- error taxonomy ------------------------------------------------------------
@@ -219,7 +163,7 @@ def test_all_errors_are_step_errors_with_codes():
         lambda: step(lt("end"), Comm("send", 0, DataKind.INT, 1)),
         lambda: step(lt("loop(end).end"), Comm("send", 0, DataKind.INT, 1)),
         lambda: step(lt("send(1,MPI_INT,1).end"), Comm("send", 0, DataKind.INT, 1)),
-        lambda: check_finalized(lt("loop(end).end")),
+        lambda: first(lt("loop(end).end")),
     ):
         with pytest.raises(StepError) as err:
             thunk()
@@ -228,7 +172,7 @@ def test_all_errors_are_step_errors_with_codes():
         "not-a-prefix",
         "at-collective-boundary:loop",
         "head-mismatch:peer",
-        "residual-not-end",
+        "not-a-prefix",
     ]
 
 
@@ -252,7 +196,7 @@ def test_walking_a_random_spine_with_matching_actions_always_succeeds():
         residue = t
         for atom in atoms:
             residue = step(residue, comm_of(atom))
-        check_finalized(residue)
+        assert residue == End()
 
 
 def test_random_wrong_action_never_advances_silently():
@@ -275,7 +219,7 @@ def test_random_wrong_action_never_advances_silently():
     assert hits["match"] > 0 and hits["mismatch"] > 0
 
 
-def test_describe_action_is_printable_for_all_actions():
+def test_every_action_prints_in_a_step_error():
     samples = [
         Comm("send", 1, DataKind.INT, 1),
         Comm("receive", 0, DataKind.FLOAT, 2),
@@ -285,8 +229,9 @@ def test_describe_action_is_printable_for_all_actions():
         Comm("allreduce", None, DataKind.FLOAT, 1, ReduceOp.MIN),
     ]
     for a in samples:
-        text = describe_action(a)
-        assert text and " " not in text
+        with pytest.raises(NotAPrefix) as err:
+            step(End(), a)
+        assert f"(program performs {format_atom(atom_of(a))})" in str(err.value)
 
 
 def test_comm_of_and_atom_of_are_inverse():
@@ -296,7 +241,6 @@ def test_comm_of_and_atom_of_are_inverse():
         c = comm_of(atom)
         assert atom_of(c) == atom
         assert comm_of(atom_of(c)) == c
-        assert describe_action(c) == format_atom(atom_of(c))
 
 
 def test_comm_of_rejects_a_non_ground_atom():
