@@ -13,7 +13,8 @@ which print one `error: internal error: ...` line instead of a traceback.
 
 Human-readable diagnostics go to stderr. With --report, one
 machine-readable line per diagnostic goes to stdout in the form
-`rank:line.col:code:message` (rank `-` for whole-protocol findings).
+`rank:line.col:code:message` (rank `-` for whole-protocol findings and
+for a syntax error, whose code is `syntax-error`).
 
 The argument parser is built once per process, on the first call of
 `main`, and reused by every later call; importing this module builds
@@ -105,12 +106,15 @@ def _int_value(name: str, value: str) -> int:
     return int(m[1] + m[2])
 
 
-def _parse(path: str, parse):
-    """`parse` applied to the text of `path`; a syntax error is a defect."""
+def _parse(path: str, parse, report: bool):
+    """`parse` applied to the text of `path`; a syntax error is a defect,
+    reported with --report as a `syntax-error` line too."""
     try:
         return parse(_read_text(path))
     except ParseError as err:
         print(f"{path}: syntax error: {err}", file=sys.stderr)
+        if report:
+            print(f"-:{err.pos.line}.{err.pos.col}:syntax-error:{err.bare_message}")
         raise _Failed from None
 
 
@@ -141,7 +145,7 @@ def _emit(diags: list[Diagnostic], filename: str, report: bool) -> None:
 
 
 def _cmd_validate(args) -> int:
-    protocol = _parse(args.protocol, parse_protocol)
+    protocol = _parse(args.protocol, parse_protocol, args.report)
     inst = _parse_params(args.param, args.manifest)
     _require_params(protocol, inst)
     _emit(check_wf(protocol, inst).diagnostics, args.protocol, args.report)
@@ -150,7 +154,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_project(args) -> int:
-    protocol = _parse(args.protocol, parse_protocol)
+    protocol = _parse(args.protocol, parse_protocol, args.report)
     inst = _parse_params(args.param, args.manifest)
     _require_params(protocol, inst)
     _emit(check_wf(protocol, inst).diagnostics, args.protocol, args.report)
@@ -168,8 +172,8 @@ def _cmd_project(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    protocol = _parse(args.protocol, parse_protocol)
-    prog = _parse(args.program, parse_program)
+    protocol = _parse(args.protocol, parse_protocol, args.report)
+    prog = _parse(args.program, parse_program, args.report)
     inst = _parse_params(args.param, args.manifest)
     _require_params(protocol, inst)
     missing = [name for name in prog.params if name not in inst]
@@ -215,14 +219,14 @@ def _cmd_simulate(args) -> int:
     inst = _parse_params(args.param, args.manifest)
     paths = list(args.files)
     if len(paths) == 1 and paths[0].endswith(".cty"):
-        protocol = _parse(paths[0], parse_protocol)
+        protocol = _parse(paths[0], parse_protocol, args.report)
         _require_params(protocol, inst)
         _emit(check_wf(protocol, inst).diagnostics, paths[0], args.report)
         views = list(project_all(protocol, inst).by_rank)
     else:
         views = []
         for path in paths:
-            term = _parse(path, parse_local_term)
+            term = _parse(path, parse_local_term, args.report)
             try:
                 term = ground_term(term, inst)
             except ExprError as err:

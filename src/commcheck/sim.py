@@ -20,14 +20,22 @@ ValueError only if the search reaches it.
 
 The explorer walks every interleaving depth-first on an explicit stack,
 so a run's length is bounded by memory, not by the recursion limit; a
-deadlock's witness is the steps along the stack. It marks each key, the
-ensemble state plus one control state per mode, when it first reaches
-it, and counts the marked keys; only decision steps read and change
-the control state. Under a fixed tape (`simulate`) it is
-the number of decisions taken, so the tape gives the next one. In the
-bounded search over every tape (`explore_all_tapes`) it is the stack of
-active loops with their consecutive entries, which caps each loop's
-unfolding; choices are never capped. Verdicts are three-valued:
+deadlock's witness is the steps along the stack. Each state on the
+stack carries its enabled senders, ascending. Enabled pairs are
+disjoint and a p2p step changes only its own two heads, so a p2p
+successor's senders are its parent's less the one that stepped, plus
+any pair the two new heads complete. All ranks are scanned only at the
+start and after a collective or decision step, beside which no pair is
+enabled.
+
+The explorer marks each key, the ensemble state plus one control state
+per mode, when it first reaches it, and counts the marked keys; only
+decision steps read and change the control state. Under a fixed tape
+(`simulate`) it is the number of decisions taken, so the tape gives the
+next one. In the bounded search over every tape (`explore_all_tapes`)
+it is the stack of active loops, each named by an int interned for the
+state at its loop nodes, with their consecutive entries, which caps
+each loop's unfolding; choices are never capped. Verdicts are three-valued:
 AllDone (no reachable stuck state), Deadlock (with a replayable witness
 prefix), or StateSpaceExceeded when the state budget runs out, which is
 distinct from both and never silently collapsed into a pass or fail.
@@ -205,10 +213,13 @@ class _Automaton:
         self.rows[i] = row
         return row
 
+    def _head(self, i: int):
+        return (self.rows[i] or self._row(i))[0]
+
     def _send(self, sender: int, i: int) -> tuple | None:
         """`(receiver, awaited receive, step)` for the send at the head of
         residue `i` on rank `sender`, or None if there is none to pair."""
-        send = self.rows[i][0]
+        send = self._head(i)
         entry = None
         if type(send) is Comm and send.kind == "send":
             receiver = send.peer
@@ -218,43 +229,70 @@ class _Automaton:
         self.sends[sender][i] = entry
         return entry
 
-    def successors(self, state: State, por: bool = False) -> list[tuple[Step, State]]:
-        """Every enabled step with the state it leads to, in a fixed
-        deterministic order: the collective (if any), then p2p pairs by
-        sender rank, then the decision, enter before skip.
+    def receiver(self, state: State, sender: int) -> int | None:
+        """The rank whose head at `state` meets the send at the head of
+        rank `sender`, or None if there is none."""
+        if not 0 <= sender < len(state):
+            return None
+        i = state[sender]
+        sends = self.sends[sender]
+        send = sends[i] if i in sends else self._send(sender, i)
+        if send is not None and self._head(state[send[0]]) == send[1]:
+            return send[0]
+        return None
 
-        With `por`, the first enabled p2p pair alone where there is one.
-        Point-to-point steps touch disjoint rank pairs and stay enabled
-        until taken, so one of them stands for all in a search for stuck
-        states; no collective or decision is enabled beside one, as both
-        need every rank at its head."""
+    def enabled(self, state: State) -> tuple[int, ...]:
+        """The senders of the p2p pairs enabled at `state`, ascending."""
+        return tuple(s for s in range(len(state)) if self.receiver(state, s) is not None)
+
+    def enabled_after(self, state: State, before: tuple[int, ...], index: int, step: P2PStep) -> tuple[int, ...]:
+        """The enabled senders of `state`, reached by `step`, the p2p step
+        of `before[index]`, from a state whose enabled senders were
+        `before`. A head names one peer, so only pairs with one of the
+        step's two ranks can have changed."""
+        rest = before[:index] + before[index + 1 :]
+        new = []
+        for rank in (step.sender, step.receiver):
+            head = self._head(state[rank])
+            if type(head) is not Comm or head.kind not in ("send", "receive"):
+                continue
+            sender = rank if head.kind == "send" else head.peer
+            receiver = self.receiver(state, sender)
+            if receiver is not None and rank in (sender, receiver) and sender not in new:
+                new.append(sender)
+        return tuple(sorted(rest + tuple(new))) if new else rest
+
+    def p2p(self, state: State, senders: Sequence[int], ctl) -> list[tuple[P2PStep, tuple, int]]:
+        """The p2p step of each of `senders`, enabled at `state`, with the
+        key it leads to under control state `ctl` and its index."""
+        rows, sends = self.rows, self.sends
+        out = []
+        for index, sender in enumerate(senders):
+            receiver, _, step = sends[sender][state[sender]]
+            nxt = list(state)
+            nxt[sender] = rows[state[sender]][1]
+            nxt[receiver] = rows[state[receiver]][1]
+            out.append((step, (tuple(nxt), ctl), index))
+        return out
+
+    def joint(self, state: State) -> list[tuple[Step, State]]:
+        """The steps every rank takes together at `state`, with the state
+        each leads to: the collective at every head, or the decision every
+        rank sits at, enter before skip. Neither is enabled beside a p2p
+        pair, as both need every rank's head to be the same."""
         rows = [self.rows[i] or self._row(i) for i in state]
         heads = [row[0] for row in rows]
-        out: list[tuple[Step, State]] = []
-
         first = heads[0]
-        if type(first) is Comm and first.kind in COLLECTIVES and all(h == first for h in heads):
-            out.append((first, tuple(row[1] for row in rows)))
-
-        for sender, i in enumerate(state):
-            sends = self.sends[sender]
-            send = sends[i] if i in sends else self._send(sender, i)
-            if send is None:
-                continue
-            receiver, awaited, step = send
-            if heads[receiver] == awaited:
-                nxt = list(state)
-                nxt[sender] = rows[sender][1]
-                nxt[receiver] = rows[receiver][1]
-                if por:
-                    return [(step, tuple(nxt))]
-                out.append((step, tuple(nxt)))
-
-        if first in _DECISIONS and all(h == first for h in heads):
-            out.append((DecisionStep(first, True), tuple(row[1] for row in rows)))
-            out.append((DecisionStep(first, False), tuple(row[2] for row in rows)))
-
-        return out
+        if heads.count(first) != len(heads):
+            return []
+        if type(first) is Comm and first.kind in COLLECTIVES:
+            return [(first, tuple(row[1] for row in rows))]
+        if first in _DECISIONS:
+            return [
+                (DecisionStep(first, True), tuple(row[1] for row in rows)),
+                (DecisionStep(first, False), tuple(row[2] for row in rows)),
+            ]
+        return []
 
     def sim_state(self, state: State) -> SimState:
         """The residue terms of `state`."""
@@ -284,29 +322,43 @@ def _explore(
     if state_limit < 1:
         raise ValueError(f"state_limit must be >= 1, got {state_limit}")
     automaton = _Automaton(locals_)
-    # Every key reached so far, marked when first reached. No key can
+    # Every key reached so far, marked when first reached: a key is new
+    # when adding it grows the set, which hashes the key once. No key can
     # reach itself again: a p2p or collective step consumes a prefix, a
     # choice consumes its node, a loop skip moves to the continuation,
     # and a loop entry raises a count or pushes onto the loop-entry
     # stack. So a key met again is never one still on the path, and
     # marking on first reach explores what marking on pop would.
     seen: set = set()
-    # The current path, one frame per state: the step that reached it
-    # and its successors not yet visited.
+    # The current path, one frame per state: the step that reached it,
+    # its successors not yet visited, and its enabled senders. A
+    # successor holds its step, its key, and the index of its sender in
+    # those enabled senders, or None after a collective or decision.
     path: list = []
-    via, key = None, (automaton.start, ctl0)
+    via, key, index = None, (automaton.start, ctl0), None
     while True:
-        if key not in seen:
-            if len(seen) == state_limit:
+        size = len(seen)
+        seen.add(key)
+        if len(seen) > size:
+            if size == state_limit:
                 return StateSpaceExceeded(state_limit, state_limit)
-            seen.add(key)
             state, ctl = key
-            succs = []
-            for step, nxt in automaton.successors(state, por):
-                nxt_ctl = decide(ctl, state, step) if isinstance(step, DecisionStep) else ctl
-                if nxt_ctl is not None:
-                    succs.append((step, (nxt, nxt_ctl)))
-            path.append((via, iter(succs)))
+            if index is None:
+                enabled = automaton.enabled(state)
+            else:
+                enabled = automaton.enabled_after(state, path[-1][2], index, via)
+            if enabled:
+                # With `por`, the lowest sender's step alone: p2p steps
+                # touch disjoint rank pairs and stay enabled until taken,
+                # so one stands for all in a search for stuck states.
+                succs = automaton.p2p(state, enabled[:1] if por else enabled, ctl)
+            else:
+                succs = []
+                for step, nxt in automaton.joint(state):
+                    nxt_ctl = decide(ctl, state, step) if type(step) is DecisionStep else ctl
+                    if nxt_ctl is not None:
+                        succs.append((step, (nxt, nxt_ctl), None))
+            path.append((via, iter(succs), enabled))
             rows = automaton.rows
             if not succs and any(rows[i][0] is not None for i in state):
                 blocked = tuple(_describe_head(rows[i][0]) for i in state)
@@ -316,7 +368,7 @@ def _explore(
             path.pop()
         if not path:
             return AllDone(len(seen))
-        via, key = nxt
+        via, key, index = nxt
 
 
 def simulate(
@@ -353,21 +405,24 @@ def explore_all_tapes(
     branches of every choice are searched at any bound.
 
     The control state is the stack of active loops, each with the
-    ensemble's loop nodes and its consecutive entries so far.
+    number of the ensemble state at its loop nodes and its consecutive
+    entries so far. States are numbered at their first loop decision.
     """
     if max_loop_iters < 0:
         raise ValueError(f"max_loop_iters must be >= 0, got {max_loop_iters}")
+    loops: dict[State, int] = {}
 
     def bound_loops(stack: tuple, state: State, step: DecisionStep) -> tuple | None:
         if step.kind == "choice":
             return stack
-        entries = stack[-1][1] if stack and stack[-1][0] == state else 0
+        loop = loops.setdefault(state, len(loops))
+        entries = stack[-1][1] if stack and stack[-1][0] == loop else 0
         outer = stack[:-1] if entries else stack
         if not step.enter:
             return outer
         if entries >= max_loop_iters:
             return None
-        return outer + ((state, entries + 1),)
+        return outer + ((loop, entries + 1),)
 
     return _explore(locals_, (), bound_loops, state_limit, por)
 
@@ -381,12 +436,20 @@ def replay(locals_: Sequence[LocalType], trail: Sequence[Step]) -> SimState:
     """Re-execute a witness trail from the initial ensemble state.
 
     Each step must be enabled where it occurs; a ValueError otherwise
-    means the trail does not belong to these local types.
+    means the trail does not belong to these local types. A p2p step is
+    checked at its sender's and receiver's heads alone, any other step
+    against every rank's head.
     """
     automaton = _Automaton(locals_)
     state = automaton.start
     for i, wanted in enumerate(trail):
-        state = next((nxt for step, nxt in automaton.successors(state) if step == wanted), None)
+        if not isinstance(wanted, P2PStep):
+            steps = automaton.joint(state)
+        elif automaton.receiver(state, wanted.sender) is None:
+            steps = []
+        else:
+            steps = [(step, key[0]) for step, key, _ in automaton.p2p(state, (wanted.sender,), None)]
+        state = next((nxt for step, nxt in steps if step == wanted), None)
         if state is None:
             raise ValueError(f"witness step {i + 1} ({wanted!r}) is not enabled")
     return automaton.sim_state(state)

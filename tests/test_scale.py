@@ -157,16 +157,16 @@ def test_simulate_the_deepest_nesting_the_parser_accepts(tmp_path, capsys):
     assert time.perf_counter() - start < BUDGET_S
 
 
-def test_simulate_four_hundred_ranks_in_disjoint_pairs(tmp_path, capsys):
+@pytest.mark.parametrize("ranks, states", [(400, 807), (1000, 2007)])
+def test_simulate_ranks_in_disjoint_pairs(tmp_path, capsys, ranks, states):
     # Two sequential loops, each with one message within every pair. The
     # CLI's search takes one p2p step per state, so the states grow
     # linearly in the ranks: the pair messages of a body, entered at most
     # twice per loop, with the decisions between.
-    ranks = 400
     body = "".join(f"message({r},{r + 1},MPI_INT,1)." for r in range(0, ranks, 2))
     cty = tmp_path / "pairs.cty"
     cty.write_text(f"nprocs {ranks}.\n" + f"loop({body}end).\n" * 2 + "end\n")
     start = time.perf_counter()
     code, out, err = run(capsys, "simulate", cty)
-    assert (code, out, err) == (EXIT_OK, "verdict: all-done (807 states explored)\n", "")
+    assert (code, out, err) == (EXIT_OK, f"verdict: all-done ({states} states explored)\n", "")
     assert time.perf_counter() - start < BUDGET_S

@@ -24,7 +24,7 @@ from commcheck.sim import (
     simulate,
     trace_to_term,
 )
-from commcheck.terms import Comm, DataKind, End, ReduceOp, concat
+from commcheck.terms import Comm, DataKind, End, Prefix, ReduceOp, comm_of, concat
 
 from proto_gen import random_protocol
 
@@ -486,6 +486,60 @@ def test_por_still_finds_planted_deadlocks():
     plain = simulate(ensemble(*texts), [])
     reduced = simulate(ensemble(*texts), [], por=True)
     assert isinstance(plain, Deadlock) and isinstance(reduced, Deadlock)
+
+
+def _scanned_senders(residues):
+    """The ranks whose head is a send that the receive at its receiver's
+    head meets, ascending, read off the residue terms."""
+    heads = [comm_of(t.atom) if isinstance(t, Prefix) else None for t in residues]
+    return tuple(
+        s
+        for s, h in enumerate(heads)
+        if h is not None
+        and h.kind == "send"
+        and 0 <= h.peer < len(heads)
+        and h.peer != s
+        and heads[h.peer] == Comm("receive", s, h.dtype, h.count)
+    )
+
+
+def test_carried_enabled_senders_equal_a_scan_of_every_rank(monkeypatch):
+    # The search carries each state's enabled senders from its parent
+    # and rescans every rank only after a collective or decision. At
+    # every state it expands, the carried senders must be those a scan
+    # of every rank's head finds.
+    expanded = []
+
+    def checked(name):
+        carry = getattr(sim._Automaton, name)
+
+        def wrapper(self, state, *args):
+            senders = carry(self, state, *args)
+            assert senders == _scanned_senders(self.sim_state(state).residues), (name, state)
+            expanded.append(name)
+            return senders
+
+        return wrapper
+
+    for name in ("enabled", "enabled_after"):
+        monkeypatch.setattr(sim._Automaton, name, checked(name))
+    rng = random.Random(707)
+    ensembles = []
+    for _ in range(40):
+        proto, env = random_protocol(rng)
+        views = list(project_all(proto, env))
+        n = len(views)
+        ensembles.append(views)
+        ensembles.append([concat(v, lt(f"send({(r + 1) % n},MPI_INT,1).end")) for r, v in enumerate(views)])
+    # disjoint pairs in two loops, and a ring whose messages enable one another
+    pairs = "".join(f"message({r},{r + 1},MPI_INT,1).message({r + 1},{r},MPI_FLOAT,2)." for r in range(0, 8, 2))
+    ring = "".join(f"message({r},{(r + 1) % 5},MPI_INT,1)." for r in range(5))
+    for text in (f"nprocs 8. loop({pairs}end).loop({pairs}end).end", f"nprocs 5. loop({ring}end).end"):
+        ensembles.append(list(project_all(parse_protocol(text), {})))
+    for views in ensembles:
+        for por in (False, True):
+            explore_all_tapes(views, 2, por=por)
+    assert expanded.count("enabled") > 300 and expanded.count("enabled_after") > 500, len(expanded)
 
 
 # -- traces as local types ------------------------------------------------------------
