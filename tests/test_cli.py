@@ -147,6 +147,14 @@ def test_manifest_params(ring, tmp_path, capsys):
     assert "well-formed" in out
 
 
+def test_a_manifest_line_without_equals_is_usage(ring, tmp_path, capsys):
+    manifest = tmp_path / "params.txt"
+    manifest.write_text("# instance\n\nsize 9\n")
+    assert run(capsys, "validate", str(ring / "ring.cty"), "--manifest", str(manifest)) == (
+        EXIT_USAGE, "", f"error: {manifest}:3: expected name=value\n"
+    )
+
+
 def test_param_flag_overrides_manifest(ring, tmp_path, capsys):
     manifest = tmp_path / "params.txt"
     manifest.write_text("size = 7\n")
@@ -192,6 +200,18 @@ def test_project_refuses_ill_formed(ring, tmp_path, capsys):
     assert "refinement-violated" in err
 
 
+def test_project_into_a_path_under_a_regular_file_is_usage(ring, tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code, out, err = run(
+        capsys, "project", str(ring / "ring.cty"),
+        "--param", "size=9", "--out", str(blocker / "views"),
+    )
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith(f"error: cannot create {blocker / 'views'}: ")
+    assert err.count("\n") == 1
+
+
 # -- verify ---------------------------------------------------------------------
 
 
@@ -225,6 +245,14 @@ def test_verify_noncompliant_reports_rank_and_position(ring, capsys):
 def test_verify_missing_program_param_is_usage(ring, capsys):
     code, _, err = run(capsys, "verify", str(ring / "ring.mmp"), str(ring / "ring.cty"))
     assert code == EXIT_USAGE
+
+
+def test_verify_a_program_param_the_protocol_lacks_is_usage(ring, tmp_path, capsys):
+    mmp = tmp_path / "extra.mmp"
+    mmp.write_text("param size\nparam halo\ninit\nfinalize\n")
+    assert run(capsys, "verify", str(mmp), str(ring / "ring.cty"), "--param", "size=9") == (
+        EXIT_USAGE, "", "error: missing value(s) for program parameter(s): halo\n"
+    )
 
 
 def test_verify_program_syntax_error(ring, tmp_path, capsys):
@@ -637,6 +665,29 @@ def test_an_internal_error_exits_2_with_one_line(ring, capsys, monkeypatch):
     code, out, err = run(capsys, "simulate", str(ring / "ring.cty"), "--param", "size=9")
     assert (code, out) == (EXIT_USAGE, "")
     assert err == "error: internal error: RecursionError: maximum recursion depth exceeded\n"
+
+
+def _run_module(*argv: str) -> subprocess.CompletedProcess:
+    """`python -m commcheck ARGV` in a child importing this package."""
+    src = str(Path(commcheck.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "commcheck", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+
+
+def test_python_dash_m_runs_the_cli_and_exits_with_its_code(ring):
+    cty = ring / "ring.cty"
+    proc = _run_module("validate", str(cty), "--param", "size=9")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        EXIT_OK, f"{cty}: well-formed for 3 processes\n", ""
+    )
+    proc = _run_module()
+    assert (proc.returncode, proc.stdout) == (EXIT_USAGE, "")
+    assert proc.stderr.startswith("usage: commcheck")
 
 
 # -- one parser per process ------------------------------------------------------

@@ -12,7 +12,7 @@ from commcheck.exprs import BinOp, Cmp, Lit, NatKind, Pos, RefinedKind, Var
 from commcheck.lexer import ParseError, Token, tokenize
 from commcheck.parser import parse_local_term, parse_protocol
 from commcheck.program import parse_program
-from commcheck.printer import format_protocol, format_term
+from commcheck.printer import format_kind, format_protocol, format_term
 from commcheck.projection import project
 from commcheck.terms import (
     Allreduce,
@@ -350,6 +350,47 @@ def test_roundtrip_expression_parenthesization():
     for text in cases:
         term = parse_local_term(text)
         assert parse_local_term(format_term(term)) == term
+
+
+@pytest.mark.parametrize(
+    "pred, printed",
+    [
+        ("x>0&&x<9||!(x==3)&&(x>1||x<0)", "x>0&&x<9||!(x==3)&&(x>1||x<0)"),
+        ("(x>0||x<9)&&x!=3", "(x>0||x<9)&&x!=3"),
+        ("x!=3&&(x>0||x<9)", "x!=3&&(x>0||x<9)"),
+        ("(x>0&&x<9)&&x!=3", "x>0&&x<9&&x!=3"),
+        ("x>0&&(x<9&&x!=3)", "x>0&&(x<9&&x!=3)"),
+        ("(x>0||x<9)||x!=3", "x>0||x<9||x!=3"),
+        ("x>0||(x<9||x!=3)", "x>0||(x<9||x!=3)"),
+        ("(x>0&&x<9)||(x>1&&x<0)", "x>0&&x<9||x>1&&x<0"),
+        ("!(x>0&&x<9)||!(x>1||x<0)", "!(x>0&&x<9)||!(x>1||x<0)"),
+        ("!!(x==3)", "!(!(x==3))"),
+        ("(x+1)*2>0&&!(x%2==0)", "(x+1)*2>0&&!(x%2==0)"),
+    ],
+)
+def test_connectives_print_with_minimal_parentheses_and_round_trip(pred, printed):
+    proto = parse_protocol(f"Pi n: {{x:nat|{pred}}}.\nnprocs 2.\nend")
+    kind = proto.params[0].kind
+    assert format_kind(kind) == f"{{x:nat|{printed}}}"
+    assert parse_protocol(format_protocol(proto)) == proto
+
+
+@pytest.mark.parametrize(
+    "kind, printed",
+    [
+        ("int", "int"),
+        ("nat", "nat"),
+        ("float", "float"),
+        ("int[n]", "int[n]"),
+        ("float[3][(n+1)*2]", "float[3][(n+1)*2]"),
+        ("{v:int|v>0}[n]", "{v:int|v>0}[n]"),
+        ("{v:{w:nat|w<9}|!(v==3)}", "{v:{w:nat|w<9}|!(v==3)}"),
+    ],
+)
+def test_format_kind_of_every_kind_round_trips(kind, printed):
+    proto = parse_protocol(f"Pi n: nat.\nPi a: {kind}.\nnprocs 2.\nend")
+    assert format_kind(proto.params[1].kind) == printed
+    assert parse_protocol(format_protocol(proto)) == proto
 
 
 def test_printer_output_shape():

@@ -117,6 +117,26 @@ def test_non_integer_binder_value(kind, value):
     ]
 
 
+@pytest.mark.parametrize("kind", ["float", "int[3]", "{x:float|x>0}"])
+def test_a_parameter_of_a_non_integer_kind(kind):
+    proto = parse_protocol(f"Pi x: {kind}.\nnprocs 2.\nend")
+    assert check_wf(proto, {"x": 1}).render_lines() == [
+        "<protocol>:1:4: [kind-not-integer] parameter 'x' must have an integer-valued kind"
+        " (at param x)"
+    ]
+
+
+def test_a_rank_expression_eval_error():
+    proto = parse_protocol("nprocs 2.\nmessage(1/0,1,MPI_INT,1).end")
+    assert check_wf(proto, {}).render_lines() == [
+        "<protocol>:2:1: [eval-error] source rank: division by zero in 1/0 (at body[0])"
+    ]
+    proto = parse_protocol("nprocs 2.\nscatter(r,MPI_INT,1).end")
+    assert check_wf(proto, {}).render_lines() == [
+        "<protocol>:2:1: [eval-error] root rank: unbound variable 'r' (at body[0])"
+    ]
+
+
 def test_all_problems_collected_not_just_first():
     proto = parse_protocol(
         "nprocs 2.\nmessage(0,0,MPI_INT,1).message(0,5,MPI_INT,1).message(1,0,MPI_INT,0-2).end"
