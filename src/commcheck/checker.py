@@ -13,6 +13,15 @@ positioned diagnostic, never as an exception. Erasure walks the same
 way but instead of checking it records the communications a rank
 performs under a given run of collective decisions, whether or not the
 program is compliant.
+
+Both walks give each collective loop body (each iteration, in erasure)
+and each collective choice branch copies of the rank's names and
+buffers, taken where the block begins: what a block declares or rebinds
+reaches neither the next iteration, nor the other branch, nor the
+statements after it. The checker walks a loop body once and both
+branches of a choice, so this is what makes its one walk stand for
+every run. A `rankif` branch is no scope, since both walks run exactly
+one of its branches.
 """
 
 from __future__ import annotations
@@ -204,7 +213,7 @@ def _walk_stmt(stmt: Stmt, t, env: Env, buffers: _Buffers, decisions: list):
                 "expected-loop",
                 f"program enters a collective loop but the protocol is at {describe_node(t)}",
             )
-        residual = _walk(stmt.body, t.body, env, buffers, decisions)
+        residual = _walk(stmt.body, t.body, dict(env), dict(buffers), decisions)
         _require_end(residual, "collective loop body leaves the protocol at")
         return t.cont
     if isinstance(stmt, CollChoice):
@@ -218,7 +227,7 @@ def _walk_stmt(stmt: Stmt, t, env: Env, buffers: _Buffers, decisions: list):
             (stmt.then_body, t.true_branch, "true"),
             (stmt.else_body, t.false_branch, "false"),
         ):
-            residual = _walk(branch_body, branch_type, env, buffers, decisions)
+            residual = _walk(branch_body, branch_type, dict(env), dict(buffers), decisions)
             _require_end(residual, f"collective choice {name} branch leaves the protocol at")
         return t.cont
     raise TypeError(f"not a statement: {stmt!r}")
@@ -267,11 +276,11 @@ def _erase(stmts, scope: Env, buffers, tape: Sequence[bool], taken: int, out: li
             pass
         elif isinstance(stmt, CollLoop):
             while _tape_entry(tape, taken):
-                taken = _erase(stmt.body, scope, buffers, tape, taken + 1, out)
+                taken = _erase(stmt.body, dict(scope), dict(buffers), tape, taken + 1, out)
             taken += 1
         elif isinstance(stmt, CollChoice):
             body = stmt.then_body if _tape_entry(tape, taken) else stmt.else_body
-            taken = _erase(body, scope, buffers, tape, taken + 1, out)
+            taken = _erase(body, dict(scope), dict(buffers), tape, taken + 1, out)
         else:
             raise TypeError(f"not a statement: {stmt!r}")
     return taken

@@ -7,7 +7,7 @@ import pytest
 from commcheck.checker import IllFormedProtocol, check_compliance, erase_to_trace
 from commcheck.parser import parse_protocol
 from commcheck.program import parse_program
-from commcheck.sim import TapeExhausted, loop_tape
+from commcheck.sim import AllDone, TapeExhausted, loop_tape, simulate, trace_to_term
 from commcheck.terms import Comm, DataKind, ReduceOp
 from commcheck.wf import check_wf
 
@@ -354,6 +354,84 @@ def test_each_diagnostic_points_at_its_statement(old, new, lines):
 def test_the_nested_program_complies():
     report = check_compliance(parse_program(NESTED_PROGRAM), parse_protocol(NESTED_PROTOCOL), {})
     assert report.compliant
+
+
+# -- collective blocks are scopes ----------------------------------------------
+
+# Each collective loop iteration and each collective choice branch runs on
+# copies of the rank's names and buffers, in the checker and in erasure
+# alike, so what one declares reaches neither the next iteration, nor the
+# other branch, nor the statements after the block. Each program below
+# passed the checker while one of its erased runs failed when the blocks
+# shared the rank's names.
+
+LET_IN_A_LOOP = (
+    "nprocs 2.\nloop(message(0,1,MPI_INT,1).end).end",
+    "buffer b int[10]\ninit\nlet n = 0\ncollloop {\n  let n = n + 1\n"
+    "  rankif (me == 0) { send peer=1 buf=b len=n } else { recv peer=0 buf=b len=1 }\n"
+    "}\nfinalize\n",
+)
+LET_IN_A_BRANCH = (
+    "nprocs 2.\nchoice(end, end).message(0,1,MPI_INT,2).end",
+    "buffer b int[10]\ninit\nlet n = 1\ncollchoice { let n = 2 } else { compute }\n"
+    "rankif (me == 0) { send peer=1 buf=b len=n } else { recv peer=0 buf=b len=2 }\n"
+    "finalize\n",
+)
+BUFFER_IN_A_BRANCH = (
+    "nprocs 2.\nchoice(end, message(0,1,MPI_INT,2).end).end",
+    "buffer b int[10]\ninit\ncollchoice {\n  buffer c int[4]\n} else {\n"
+    "  rankif (me == 0) { send peer=1 buf=c len=2 } else { recv peer=0 buf=c len=2 }\n"
+    "}\nfinalize\n",
+)
+
+
+def erased_runs(prog, tapes):
+    """Per tape, the verdict of the erased two-rank traces, or the error
+    that stopped their erasure."""
+    outcomes = []
+    for tape in tapes:
+        try:
+            views = [trace_to_term(erase_to_trace(prog, r, {"np": 2}, tape)) for r in range(2)]
+        except ValueError as err:
+            outcomes.append(str(err))
+        else:
+            outcomes.append(type(simulate(views, ())).__name__)
+    return outcomes
+
+
+@pytest.mark.parametrize(
+    "case, tapes, lines, runs",
+    [
+        (LET_IN_A_LOOP, [loop_tape(k) for k in (1, 2, 3)], [], ["AllDone"] * 3),
+        (
+            LET_IN_A_BRANCH,
+            [(True,), (False,)],
+            [
+                "<program>:5:20: rank 0: [head-mismatch:len] action send(1,MPI_INT,1) does"
+                " not match the expected send(1,MPI_INT,2) (differs in len)"
+            ],
+            ["Deadlock", "Deadlock"],
+        ),
+        (
+            BUFFER_IN_A_BRANCH,
+            [(True,), (False,)],
+            [
+                "<program>:6:22: rank 0: [unknown-buffer] no buffer named 'c'",
+                "<program>:6:55: rank 1: [unknown-buffer] no buffer named 'c'",
+            ],
+            ["AllDone", "no buffer named 'c'"],
+        ),
+    ],
+    ids=["let-in-a-loop", "let-in-a-branch", "buffer-in-a-branch"],
+)
+def test_a_collective_block_is_a_scope(case, tapes, lines, runs):
+    proto_text, prog_text = case
+    prog = parse_program(prog_text)
+    report = check_compliance(prog, parse_protocol(proto_text), {})
+    assert report.render_lines() == lines
+    assert erased_runs(prog, tapes) == runs
+    # the checker's verdict agrees with every erased run
+    assert report.compliant == all(run == "AllDone" for run in runs)
 
 
 # -- erasure -------------------------------------------------------------------
