@@ -14,14 +14,11 @@ way but instead of checking it records the communications a rank
 performs under a given run of collective decisions, whether or not the
 program is compliant.
 
-Both walks give each collective loop body (each iteration, in erasure)
-and each collective choice branch copies of the rank's names and
-buffers, taken where the block begins: what a block declares or rebinds
-reaches neither the next iteration, nor the other branch, nor the
-statements after it. The checker walks a loop body once and both
-branches of a choice, so this is what makes its one walk stand for
-every run. A `rankif` branch is no scope, since both walks run exactly
-one of its branches.
+Both walks run each collective loop body (each iteration, in erasure)
+and each collective choice branch on copies of the rank's names and
+buffers taken where the block begins, so the checker's one walk of a
+body stands for every run of it. Both run one branch of a `rankif`,
+which is no scope.
 """
 
 from __future__ import annotations

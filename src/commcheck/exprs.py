@@ -33,22 +33,8 @@ class Pos(NamedTuple):
 
 
 class ExprError(Exception):
-    """Base class for evaluation failures."""
-
-
-class UnboundVariable(ExprError):
-    def __init__(self, name: str):
-        super().__init__(f"unbound variable '{name}'")
-
-
-class DivisionByZero(ExprError):
-    def __init__(self, detail: str):
-        super().__init__(f"division by zero in {detail}")
-
-
-class IntegerOverflow(ExprError):
-    def __init__(self, value: int):
-        super().__init__(f"value {value} exceeds the signed 64-bit range")
+    """An evaluation failure: an unbound variable, a division by zero, or
+    a value outside the signed 64-bit range, told apart by its message."""
 
 
 class KindMismatch(ExprError):
@@ -82,7 +68,7 @@ Expr = Union[Lit, Var, BinOp]
 
 def _ranged(v: int) -> int:
     if v < INT64_MIN or v > INT64_MAX:
-        raise IntegerOverflow(v)
+        raise ExprError(f"value {v} exceeds the signed 64-bit range")
     return v
 
 
@@ -95,13 +81,13 @@ def _c_quotient(a: int, b: int) -> int:
 def eval_expr(e: Expr, env: Env) -> int:
     """Evaluate `e` under `env` to a signed 64-bit integer.
 
-    Raises UnboundVariable, DivisionByZero, or IntegerOverflow.
+    Raises ExprError.
     """
     if type(e) is Lit:  # most operands of a protocol are literals
         return _ranged(e.value)
     if isinstance(e, Var):
         if e.name not in env:
-            raise UnboundVariable(e.name)
+            raise ExprError(f"unbound variable '{e.name}'")
         return _ranged(env[e.name])
     if isinstance(e, BinOp):
         op = e.op
@@ -113,16 +99,12 @@ def eval_expr(e: Expr, env: Env) -> int:
             return _ranged(a - b)
         if op == "*":
             return _ranged(a * b)
-        if op == "/":
+        if op == "/" or op == "%":
             if b == 0:
-                raise DivisionByZero(f"{a}/{b}")
-            return _ranged(_c_quotient(a, b))
-        if op == "%":
-            if b == 0:
-                raise DivisionByZero(f"{a}%{b}")
-            # The implied quotient must be representable too.
+                raise ExprError(f"division by zero in {a}{op}{b}")
+            # A remainder's implied quotient must be representable too.
             q = _ranged(_c_quotient(a, b))
-            return _ranged(a - q * b)
+            return q if op == "/" else _ranged(a - q * b)
         raise ValueError(f"unknown operator {op!r}")
     raise TypeError(f"not an expression: {e!r}")
 
@@ -151,13 +133,8 @@ class Cmp:
 
 
 @dataclass(frozen=True, slots=True)
-class And:
-    lhs: Pred
-    rhs: Pred
-
-
-@dataclass(frozen=True, slots=True)
-class Or:
+class BoolOp:
+    op: str  # && or ||
     lhs: Pred
     rhs: Pred
 
@@ -167,7 +144,7 @@ class Not:
     arg: Pred
 
 
-Pred = Union[Cmp, And, Or, Not]
+Pred = Union[Cmp, BoolOp, Not]
 
 
 def eval_pred(p: Pred, env: Env) -> bool:
@@ -188,10 +165,12 @@ def eval_pred(p: Pred, env: Env) -> bool:
         if op == ">=":
             return a >= b
         raise ValueError(f"unknown comparison {op!r}")
-    if isinstance(p, And):
-        return eval_pred(p.lhs, env) and eval_pred(p.rhs, env)
-    if isinstance(p, Or):
-        return eval_pred(p.lhs, env) or eval_pred(p.rhs, env)
+    if isinstance(p, BoolOp):
+        if p.op == "&&":
+            return eval_pred(p.lhs, env) and eval_pred(p.rhs, env)
+        if p.op == "||":
+            return eval_pred(p.lhs, env) or eval_pred(p.rhs, env)
+        raise ValueError(f"unknown connective {p.op!r}")
     if isinstance(p, Not):
         return not eval_pred(p.arg, env)
     raise TypeError(f"not a predicate: {p!r}")
@@ -203,18 +182,8 @@ def eval_pred(p: Pred, env: Env) -> bool:
 
 
 @dataclass(frozen=True, slots=True)
-class IntKind:
-    pass
-
-
-@dataclass(frozen=True, slots=True)
-class NatKind:
-    pass
-
-
-@dataclass(frozen=True, slots=True)
-class FloatKind:
-    pass
+class BaseKind:
+    name: str  # int | nat | float
 
 
 @dataclass(frozen=True, slots=True)
@@ -237,11 +206,11 @@ class ArrayKind:
     length: Expr
 
 
-Kind = Union[IntKind, NatKind, FloatKind, RefinedKind, ArrayKind]
+Kind = Union[BaseKind, RefinedKind, ArrayKind]
 
-INT = IntKind()
-NAT = NatKind()
-FLOAT = FloatKind()
+INT = BaseKind("int")
+NAT = BaseKind("nat")
+FLOAT = BaseKind("float")
 
 
 def check_refinement(k: Kind, value: int, env: Env) -> bool:
@@ -255,17 +224,12 @@ def check_refinement(k: Kind, value: int, env: Env) -> bool:
     nor a float, and lie in the signed 64-bit range.
     """
     match k:
-        case IntKind():
-            if type(value) is not int:
-                return False
-            _ranged(value)
-            return True
-        case NatKind():
-            return type(value) is int and _ranged(value) >= 0
+        case BaseKind("int" | "nat"):
+            return type(value) is int and (_ranged(value) >= 0 or k.name == "int")
         case RefinedKind(base, r):
             if not check_refinement(base, value, env):
                 return False
             return eval_pred(r.pred, {**env, r.var: value})
-        case FloatKind() | ArrayKind():
+        case BaseKind("float") | ArrayKind():
             raise KindMismatch("refinement check against a non-integer kind")
     raise TypeError(f"not a kind: {k!r}")

@@ -26,8 +26,8 @@ from __future__ import annotations
 from .exprs import (
     ArrayKind,
     BinOp,
+    BoolOp,
     Cmp,
-    And,
     Expr,
     FLOAT,
     INT,
@@ -35,7 +35,6 @@ from .exprs import (
     Lit,
     NAT,
     Not,
-    Or,
     Pos,
     Pred,
     RefinedKind,
@@ -222,7 +221,7 @@ class BaseParser:
         try:
             p = self._and_pred()
             while self.eat("||"):
-                p = Or(p, self._and_pred())
+                p = BoolOp("||", p, self._and_pred())
             return p
         finally:
             self._exit()
@@ -230,7 +229,7 @@ class BaseParser:
     def _and_pred(self) -> Pred:
         p = self._not_pred()
         while self.eat("&&"):
-            p = And(p, self._not_pred())
+            p = BoolOp("&&", p, self._not_pred())
         return p
 
     def _not_pred(self) -> Pred:

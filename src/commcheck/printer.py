@@ -8,31 +8,45 @@ one atom per line in type terms.
 from __future__ import annotations
 
 from .exprs import (
-    And,
     ArrayKind,
+    BaseKind,
     BinOp,
+    BoolOp,
     Cmp,
     Expr,
-    FloatKind,
-    IntKind,
     Kind,
     Lit,
-    NatKind,
     Not,
-    Or,
     Pred,
     RefinedKind,
     Var,
 )
 from .terms import Atom, Loop, Prefix, Protocol, TypeTerm, spine
 
-_EXPR_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "%": 2}
+# The precedence of each infix operator, arithmetic and connective alike;
+# an operand that is not an infix node binds tighter than all of them.
+_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "%": 2, "||": 1, "&&": 2}
 
 
-def _expr_prec(e: Expr) -> int:
-    if isinstance(e, BinOp):
-        return _EXPR_PREC[e.op]
+def _prec(node: Expr | Pred) -> int:
+    if isinstance(node, (BinOp, BoolOp)):
+        return _PREC[node.op]
     return 3
+
+
+def _infix(node: BinOp | BoolOp, fmt) -> str:
+    """`node` with its operands written by `fmt`, parenthesized only
+    where the operator's precedence needs it."""
+    prec = _PREC[node.op]
+    left = fmt(node.lhs)
+    if _prec(node.lhs) < prec:
+        left = f"({left})"
+    right = fmt(node.rhs)
+    # Operators are left-associative, so an equal-precedence right
+    # child needs parentheses to reparse into the same shape.
+    if _prec(node.rhs) <= prec:
+        right = f"({right})"
+    return f"{left}{node.op}{right}"
 
 
 def format_expr(e: Expr) -> str:
@@ -41,48 +55,16 @@ def format_expr(e: Expr) -> str:
     if isinstance(e, Var):
         return e.name
     if isinstance(e, BinOp):
-        op, lhs, rhs = e.op, e.lhs, e.rhs
-        prec = _EXPR_PREC[op]
-        left = format_expr(lhs)
-        if _expr_prec(lhs) < prec:
-            left = f"({left})"
-        right = format_expr(rhs)
-        # Operators are left-associative, so an equal-precedence right
-        # child needs parentheses to reparse into the same shape.
-        if _expr_prec(rhs) <= prec:
-            right = f"({right})"
-        return f"{left}{op}{right}"
+        return _infix(e, format_expr)
     raise TypeError(f"not an expression: {e!r}")
-
-
-def _pred_prec(p: Pred) -> int:
-    match p:
-        case Or():
-            return 1
-        case And():
-            return 2
-        case _:
-            return 3
 
 
 def format_pred(p: Pred) -> str:
     match p:
         case Cmp(op, lhs, rhs):
             return f"{format_expr(lhs)}{op}{format_expr(rhs)}"
-        case And(lhs, rhs):
-            left = format_pred(lhs)
-            if _pred_prec(lhs) < 2:
-                left = f"({left})"
-            right = format_pred(rhs)
-            if _pred_prec(rhs) <= 2:
-                right = f"({right})"
-            return f"{left}&&{right}"
-        case Or(lhs, rhs):
-            left = format_pred(lhs)
-            right = format_pred(rhs)
-            if _pred_prec(rhs) <= 1:
-                right = f"({right})"
-            return f"{left}||{right}"
+        case BoolOp():
+            return _infix(p, format_pred)
         case Not(arg):
             return f"!({format_pred(arg)})"
     raise TypeError(f"not a predicate: {p!r}")
@@ -90,12 +72,8 @@ def format_pred(p: Pred) -> str:
 
 def format_kind(k: Kind) -> str:
     match k:
-        case IntKind():
-            return "int"
-        case NatKind():
-            return "nat"
-        case FloatKind():
-            return "float"
+        case BaseKind(name):
+            return name
         case RefinedKind(base, r):
             return f"{{{r.var}:{format_kind(base)}|{format_pred(r.pred)}}}"
         case ArrayKind(elem, length):

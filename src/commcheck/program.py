@@ -13,7 +13,14 @@ ensemble size) and cannot be redeclared.
 
 Structural rules enforced at parse time: exactly one `init`, preceding
 all communication; exactly one `finalize`, the last statement; both only
-at top level; `param` declarations first; no duplicate names.
+at top level; `param` declarations first; each `param` and `buffer`
+name declared once in the whole program, at any depth; a `let` may
+bind any name but `me` and `np`, and may rebind one.
+
+Scopes: a `collloop` body and each `collchoice` branch see the names and
+buffers bound where the block begins, and what they bind stays inside,
+so every loop iteration starts from the same bindings; a `rankif`
+branch binds in the enclosing scope.
 """
 
 from __future__ import annotations

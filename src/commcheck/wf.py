@@ -86,45 +86,29 @@ def check_wf(protocol: Protocol, inst: Env) -> WfReport:
     env: Env = {}
     unusable = False  # some parameter is missing or outside the 64-bit range
     for binder in protocol.params:
-        if binder.name not in inst:
+        name = binder.name
+        found: tuple[str, str] | None = None  # the parameter's one (code, message)
+        if name not in inst:
             unusable = True
-            report.diagnostics.append(
-                Diagnostic(
-                    "missing-parameter",
-                    f"no value given for parameter '{binder.name}'",
-                    binder.pos,
-                    path=f"param {binder.name}",
-                )
-            )
-            continue
-        value = inst[binder.name]
-        try:
-            if not check_refinement(binder.kind, value, env):
-                report.diagnostics.append(
-                    Diagnostic(
+            found = ("missing-parameter", f"no value given for parameter '{name}'")
+        else:
+            value = inst[name]
+            try:
+                if not check_refinement(binder.kind, value, env):
+                    found = (
                         "refinement-violated",
-                        f"value {value} does not satisfy the kind of '{binder.name}'",
-                        binder.pos,
-                        path=f"param {binder.name}",
+                        f"value {value} does not satisfy the kind of '{name}'",
                     )
-                )
-        except KindMismatch:
-            report.diagnostics.append(
-                Diagnostic(
-                    "kind-not-integer",
-                    f"parameter '{binder.name}' must have an integer-valued kind",
-                    binder.pos,
-                    path=f"param {binder.name}",
-                )
-            )
-        except ExprError as err:
-            report.diagnostics.append(
-                Diagnostic("eval-error", str(err), binder.pos, path=f"param {binder.name}")
-            )
-            # The error may come from the refinement's predicate instead.
-            unusable = unusable or not INT64_MIN <= value <= INT64_MAX
-        # Bind even a bad value so later parameters still get checked.
-        env[binder.name] = value
+            except KindMismatch:
+                found = ("kind-not-integer", f"parameter '{name}' must have an integer-valued kind")
+            except ExprError as err:
+                found = ("eval-error", str(err))
+                # The error may come from the refinement's predicate instead.
+                unusable = unusable or not INT64_MIN <= value <= INT64_MAX
+            # Bind even a bad value so later parameters still get checked.
+            env[name] = value
+        if found:
+            report.diagnostics.append(Diagnostic(*found, binder.pos, path=f"param {name}"))
 
     if not (MIN_PROCS < protocol.num_procs < MAX_PROCS):
         report.diagnostics.append(

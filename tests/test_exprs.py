@@ -7,24 +7,21 @@ import random
 import pytest
 
 from commcheck.exprs import (
-    And,
     ArrayKind,
     BinOp,
+    BoolOp,
     Cmp,
-    DivisionByZero,
+    ExprError,
     FLOAT,
     INT,
     INT64_MAX,
     INT64_MIN,
-    IntegerOverflow,
     KindMismatch,
     Lit,
     NAT,
     Not,
-    Or,
     RefinedKind,
     Refinement,
-    UnboundVariable,
     Var,
     check_refinement,
     eval_expr,
@@ -83,33 +80,33 @@ def test_division_matches_oracle_on_random_pairs():
 
 
 def test_division_by_zero():
-    with pytest.raises(DivisionByZero):
+    with pytest.raises(ExprError, match="^division by zero in "):
         eval_expr(b("/", 1, 0), {})
-    with pytest.raises(DivisionByZero):
+    with pytest.raises(ExprError, match="^division by zero in "):
         eval_expr(b("%", 1, 0), {})
 
 
 def test_overflow_is_an_error_not_a_wrap():
-    with pytest.raises(IntegerOverflow):
+    with pytest.raises(ExprError, match=" exceeds the signed 64-bit range$"):
         eval_expr(b("+", INT64_MAX, 1), {})
-    with pytest.raises(IntegerOverflow):
+    with pytest.raises(ExprError, match=" exceeds the signed 64-bit range$"):
         eval_expr(b("-", INT64_MIN, 1), {})
-    with pytest.raises(IntegerOverflow):
+    with pytest.raises(ExprError, match=" exceeds the signed 64-bit range$"):
         eval_expr(b("*", INT64_MAX, 2), {})
     # Negating the minimum via division overflows; so does the implied
     # quotient of the corresponding remainder.
-    with pytest.raises(IntegerOverflow):
+    with pytest.raises(ExprError, match=" exceeds the signed 64-bit range$"):
         eval_expr(b("/", INT64_MIN, -1), {})
-    with pytest.raises(IntegerOverflow):
+    with pytest.raises(ExprError, match=" exceeds the signed 64-bit range$"):
         eval_expr(b("%", INT64_MIN, -1), {})
     assert eval_expr(b("+", INT64_MAX, 0), {}) == INT64_MAX
     assert eval_expr(b("-", INT64_MIN, 0), {}) == INT64_MIN
 
 
 def test_unbound_variable_is_an_error_never_a_default():
-    with pytest.raises(UnboundVariable):
+    with pytest.raises(ExprError, match="^unbound variable "):
         eval_expr(Var("missing"), {})
-    with pytest.raises(UnboundVariable):
+    with pytest.raises(ExprError, match="^unbound variable "):
         eval_expr(b("+", Var("x"), 1), {"y": 1})
 
 
@@ -129,7 +126,7 @@ def test_expr_equal_is_semantic():
     # Equality of expressions is equality of their values in one environment.
     assert eval_expr(b("/", Var("size"), 3), {"size": 9}) == eval_expr(Lit(3), {})
     assert eval_expr(b("/", Var("size"), 3), {"size": 12}) != eval_expr(Lit(3), {})
-    with pytest.raises(UnboundVariable):
+    with pytest.raises(ExprError, match="^unbound variable "):
         eval_expr(Var("size"), {})
 
 
@@ -152,8 +149,8 @@ def test_predicates():
     env = {"n": 9}
     assert eval_pred(Cmp("==", b("%", Var("n"), 3), Lit(0)), env)
     assert not eval_pred(Cmp("==", b("%", Var("n"), 3), Lit(0)), {"n": 7})
-    assert eval_pred(And(Cmp(">", Var("n"), Lit(0)), Cmp("<", Var("n"), Lit(10))), env)
-    assert eval_pred(Or(Cmp("<", Var("n"), Lit(0)), Cmp("!=", Var("n"), Lit(3))), env)
+    assert eval_pred(BoolOp("&&", Cmp(">", Var("n"), Lit(0)), Cmp("<", Var("n"), Lit(10))), env)
+    assert eval_pred(BoolOp("||", Cmp("<", Var("n"), Lit(0)), Cmp("!=", Var("n"), Lit(3))), env)
     assert eval_pred(Not(Cmp(">=", Var("n"), Lit(10))), env)
 
 
@@ -164,7 +161,7 @@ def test_nat_is_a_nonnegative_int_in_range():
         assert check_refinement(NAT, v, {}) == (v >= 0)
     assert check_refinement(NAT, INT64_MAX, {})
     for v in (INT64_MAX + 1, INT64_MIN - 1):
-        with pytest.raises(IntegerOverflow):
+        with pytest.raises(ExprError, match=" exceeds the signed 64-bit range$"):
             check_refinement(NAT, v, {})
 
 
@@ -183,7 +180,9 @@ def test_refinement_checking():
 def test_refinement_sees_earlier_parameters():
     between = RefinedKind(
         INT,
-        Refinement("v", And(Cmp(">=", Var("v"), Var("lo")), Cmp("<=", Var("v"), Var("hi")))),
+        Refinement(
+            "v", BoolOp("&&", Cmp(">=", Var("v"), Var("lo")), Cmp("<=", Var("v"), Var("hi")))
+        ),
     )
     env = {"lo": 2, "hi": 5}
     assert check_refinement(between, 3, env)

@@ -8,7 +8,7 @@ import string
 import pytest
 
 import commcheck.lexer
-from commcheck.exprs import BinOp, Cmp, Lit, NatKind, Pos, RefinedKind, Var
+from commcheck.exprs import NAT, BinOp, BoolOp, Cmp, Lit, Pos, RefinedKind, Var
 from commcheck.lexer import ParseError, Token, tokenize
 from commcheck.parser import parse_local_term, parse_protocol
 from commcheck.program import parse_program
@@ -194,7 +194,7 @@ def test_parse_ring_protocol(fdiff_protocol_text):
     assert proto.num_procs == 3
     assert [b.name for b in proto.params] == ["size"]
     kind = proto.params[0].kind
-    assert isinstance(kind, RefinedKind) and isinstance(kind.base, NatKind)
+    assert isinstance(kind, RefinedKind) and kind.base == NAT
 
     assert isinstance(proto.body, Prefix)
     assert proto.body.atom == Scatter(Lit(0), DataKind.FLOAT, BinOp("/", Var("size"), Lit(3)))
@@ -308,10 +308,8 @@ def test_refinement_predicate_grammar():
     assert isinstance(kind, RefinedKind)
     pred = kind.refinement.pred
     # '&&' binds tighter than '||'; the parenthesized '||' survives as a subterm
-    from commcheck.exprs import And, Or
-
-    assert isinstance(pred, And)
-    assert isinstance(pred.rhs, Or)
+    assert isinstance(pred, BoolOp) and pred.op == "&&"
+    assert isinstance(pred.rhs, BoolOp) and pred.rhs.op == "||"
     assert pred.lhs == Cmp("==", BinOp("%", Var("v"), Lit(3)), Lit(0))
 
 

@@ -12,7 +12,7 @@ import random
 
 import pytest
 
-from commcheck.exprs import DivisionByZero, Lit, eval_expr
+from commcheck.exprs import ExprError, Lit, eval_expr
 from commcheck.parser import parse_local_term, parse_protocol
 from commcheck.printer import format_term
 from commcheck.projection import project, project_all
@@ -212,9 +212,9 @@ def test_a_length_is_evaluated_only_where_a_kept_rank_takes_part():
     proto = parse_protocol("nprocs 3.\nmessage(0,1,MPI_INT,1/0).end")
     assert project(proto, {}, 2) == End()
     for rank in (0, 1):
-        with pytest.raises(DivisionByZero):
+        with pytest.raises(ExprError, match="^division by zero in "):
             project(proto, {}, rank)
-    with pytest.raises(DivisionByZero):
+    with pytest.raises(ExprError, match="^division by zero in "):
         project_all(proto, {})
 
 

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import commcheck
-from commcheck.exprs import BinOp, IntegerOverflow, Lit, Var
+from commcheck.exprs import BinOp, ExprError, Lit, Var
 from commcheck.parser import parse_local_term, parse_protocol
 from commcheck.printer import format_atom, format_term
 from commcheck.projection import project_all
@@ -180,7 +180,7 @@ def test_grounding_returns_what_is_already_ground():
     assert ground_term(view, {}) is view
     assert ground_term(view, {"size": 9}) is view
     # a literal is kept, but still range-checked
-    with pytest.raises(IntegerOverflow):
+    with pytest.raises(ExprError, match=" exceeds the signed 64-bit range$"):
         ground_term(Prefix(Send(Lit(1), DataKind.INT, Lit(2**63)), End()), {})
 
 
